@@ -17,13 +17,7 @@ the remaining freedom.
 """
 from __future__ import annotations
 
-from .core import (
-    Configuration,
-    Perm,
-    left_record_values,
-    records,
-    right_record_values,
-)
+from .core import Configuration, Perm, record_split, records
 from .families import CallanWord, is_p_resultant, is_vesztergombi
 
 
@@ -120,12 +114,6 @@ def vesztergombi_to_callan(sigma: Perm, underlined: int, overlined: int) -> Call
     return word
 
 
-def _record_split(perm: Perm, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Left-record values of the prefix and right-record values of the suffix."""
-    cut = len(perm) - p
-    return left_record_values(perm[:cut]), right_record_values(perm[cut:])
-
-
 def phi(config: Configuration, perm: Perm, verify: bool = False) -> Configuration:
     """
     Collapse a configuration that topples to the resultant perm onto its
@@ -148,7 +136,7 @@ def phi(config: Configuration, perm: Perm, verify: bool = False) -> Configuratio
         actual, _ = resultant(config)
         if actual != perm:
             raise ValueError(f"configuration topples to {actual}, not {perm}")
-    lrec, rrec = _record_split(perm, p)
+    lrec, rrec = record_split(perm, p)
     keep = sorted(lrec) + sorted(rrec)
     relabel = {chip: index for index, chip in enumerate(keep, start=1)}
     sites = []
@@ -167,7 +155,7 @@ def _infer_p(perm: Perm, i: int, j: int) -> int:
     for p in range(1, n + 1):
         if not is_p_resultant(perm, p):
             continue
-        lrec, rrec = _record_split(perm, p)
+        lrec, rrec = record_split(perm, p)
         if len(lrec) == i and len(rrec) == j:
             matches.append(p)
     if len(matches) != 1:
@@ -197,7 +185,7 @@ def phi_inverse(reduced: Configuration, perm: Perm, p: int | None = None) -> Con
         raise ValueError(f"p outside 1..{n}")
     if not is_p_resultant(perm, p):
         raise ValueError(f"{perm} is not a resultant for doubled site {p}")
-    lrec, rrec = _record_split(perm, p)
+    lrec, rrec = record_split(perm, p)
     if len(lrec) != i or len(rrec) != j:
         raise ValueError(
             f"skeleton shape ({i},{j}) does not match the records of {perm} at p={p}"

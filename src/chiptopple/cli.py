@@ -20,13 +20,14 @@ from .core import (
     parse_configuration,
     parse_permutation,
 )
-from .families import CallanWord
+from .families import CallanWord, CapExceeded
 
 
 def _fail_on_value_error(fn, *args, **kwargs):
+    """Run fn and turn a domain error (bad input or an enumeration cap) into one Error: line."""
     try:
         return fn(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, CapExceeded) as exc:
         raise click.ClickException(str(exc)) from exc
 
 
@@ -49,6 +50,8 @@ def topple(literal: str, use_random: bool, seed: int | None, trace: bool) -> Non
     """Stabilize a configuration and print the resultant permutation."""
     config = _fail_on_value_error(parse_configuration, literal)
     if use_random or seed is not None:
+        if trace:
+            raise click.UsageError("--trace needs the pass schedule; drop --random and --seed")
         final, _ = engine.stabilize_random(config, 0 if seed is None else seed)
         click.echo(f"resultant: {format_permutation(final.permutation())}, empty-site: {final.empty_site}")
         return
@@ -176,19 +179,10 @@ def count_npi(perm: str, r: int, p: int) -> None:
     click.echo(str(_fail_on_value_error(polybernoulli.count_N_pi, pi, r, p)))
 
 
-_FAMILY_PARAMS = {
-    "vesztergombi": ("k", "n"),
-    "callan": ("underlined", "overlined"),
-    "callan_first": ("underlined", "overlined", "first"),
-    "window_c": ("n", "k"),
-    "excedance_set": ("n", "k"),
-}
-
-
 @count.command("family")
 @click.option(
     "--family",
-    type=click.Choice(sorted(_FAMILY_PARAMS)),
+    type=click.Choice(sorted(families.FAMILIES)),
     required=True,
 )
 @click.option("--n", type=int, default=None)
@@ -209,18 +203,19 @@ def count_family_cmd(
     """Count (or list) a recognizable permutation family."""
     supplied = {"n": n, "k": k, "underlined": underlined, "overlined": overlined, "first": first}
     params = {}
-    for name in _FAMILY_PARAMS[family]:
+    for name in families.FAMILIES[family][0]:
         if supplied[name] is None:
             raise click.UsageError(f"--{name} is required for family {family}")
         params[name] = supplied[name]
-    try:
+
+    def emit() -> None:
         if list_members:
             for member in families.enumerate_family(family, **params):
                 click.echo(format_permutation(member))
         else:
             click.echo(str(families.count_family(family, **params)))
-    except families.CapExceeded as exc:
-        raise click.ClickException(str(exc)) from exc
+
+    _fail_on_value_error(emit)
 
 
 @count.command("ao")
@@ -234,10 +229,7 @@ def count_family_cmd(
 )
 def count_ao(n: int, k: int, mode: str) -> None:
     """Acyclic orientations of the complete bipartite graph, brute force."""
-    try:
-        click.echo(str(families.count_acyclic_orientations(n, k, mode)))
-    except families.CapExceeded as exc:
-        raise click.ClickException(str(exc)) from exc
+    click.echo(str(_fail_on_value_error(families.count_acyclic_orientations, n, k, mode)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,16 +294,17 @@ def tables(which: str, n: int | None, p: int | None, r: int | None, fmt: str, jo
     if which == "resultant-fibers":
         if n is None or p is None:
             raise click.UsageError("resultant-fibers needs --n (resultant size) and --p")
-        table = _fail_on_value_error(harness.resultant_table, n, p, True)
-        fibers = table.fibers or {}
-        rows = []
-        for perm in sorted(fibers):
-            configs = sorted(
-                format_configuration(config)
-                for config in harness.enumerate_configurations(n - 1, p)
-                if engine.resultant(config)[0] == perm
-            )
-            rows.append([format_permutation(perm), fibers[perm], " ".join(configs)])
+        # resultant_table checks p and that every record class has one fiber size
+        _fail_on_value_error(harness.resultant_table, n, p)
+        grouped = harness.group_by_resultant(n - 1, p)
+        rows = [
+            [
+                format_permutation(perm),
+                len(grouped[perm]),
+                " ".join(sorted(map(format_configuration, grouped[perm]))),
+            ]
+            for perm in sorted(grouped)
+        ]
         _emit_table(["resultant", "count", "configurations"], rows, fmt)
         return
     if which == "T-array":
@@ -410,7 +403,7 @@ def biject_phi_inverse(literal: str, perm: str, p: int | None) -> None:
 # ---------------------------------------------------------------------------
 
 @cli.command()
-@click.option("--n-max", type=int, default=5, show_default=True)
+@click.option("--n-max", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--seeds", type=int, default=5, show_default=True, help="Seeds per configuration in the schedule check.")
 @click.option(

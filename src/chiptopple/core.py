@@ -119,6 +119,35 @@ def split_at(perm: Perm, p: int) -> tuple[Perm, Perm] | None:
     return left, perm[cut:]
 
 
+def record_split(perm: Perm, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """
+    Left-record values of the first n-p entries and right-record values
+    of the last p entries. Their lengths (i, j) are the record class of a
+    resultant.
+
+    >>> record_split((2, 1, 3, 5, 4), 2)
+    ((2, 3), (4,))
+    """
+    cut = len(perm) - p
+    return left_record_values(perm[:cut]), right_record_values(perm[cut:])
+
+
+def marked_split(perm: Perm, p: int, r: int) -> tuple[int, int, int]:
+    """
+    Class key of a marked resultant: (a, b, k) with a left records of the
+    prefix below r, b above it, and k right records of the suffix. For
+    r > n-p the key is computed on the mirrored instance, where the added
+    chip lands in the prefix again.
+    """
+    n = len(perm)
+    if r > n - p:
+        return marked_split(reverse_complement_perm(perm), n - p, n + 1 - r)
+    lrec, rrec = record_split(perm, p)
+    a = sum(1 for v in lrec if v < r)
+    b = sum(1 for v in lrec if v > r)
+    return a, b, len(rrec)
+
+
 def reverse_complement_perm(perm: Perm) -> Perm:
     """Reverse the positions and complement the values v -> n+1-v."""
     n = len(perm)

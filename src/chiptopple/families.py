@@ -12,10 +12,11 @@ Callan words that start underlined.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from itertools import permutations
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .core import Perm, left_record_values, right_record_values
+from .core import Perm, left_record_values, right_record_values, split_at
 
 DEFAULT_PERM_CAP = 9  # enumerate at most 9! permutations
 AO_BIT_CAP = 20  # at most 2^20 orientations
@@ -34,16 +35,9 @@ class CallanWord:
     overlined: int
 
     def __post_init__(self) -> None:
-        u, o = self.underlined, self.overlined
-        if u < 1 or o < 1:
-            raise ValueError("need at least one underlined and one overlined value")
-        if set(self.values) != set(range(1, u + o + 1)):
-            raise ValueError(f"values must be a permutation of 1..{u + o}")
-        for block in self.blocks():
-            if block[0] <= u and list(block) != sorted(block):
-                raise ValueError(f"underlined block {block} is not increasing")
-            if block[0] > u and list(block) != sorted(block, reverse=True):
-                raise ValueError(f"overlined block {block} is not decreasing")
+        violation = _callan_violation(self.values, self.underlined, self.overlined)
+        if violation is not None:
+            raise ValueError(violation)
 
     def is_underlined(self, value: int) -> bool:
         return value <= self.underlined
@@ -63,6 +57,28 @@ class CallanWord:
         return self.values[0] <= self.underlined
 
 
+def _callan_violation(values: Perm, underlined: int, overlined: int) -> str | None:
+    """The first rule that values breaks as a Callan word, or None."""
+    u, o = underlined, overlined
+    if u < 1 or o < 1:
+        return "need at least one underlined and one overlined value"
+    if set(values) != set(range(1, u + o + 1)):
+        return f"values must be a permutation of 1..{u + o}"
+    start = 0  # where the current block began
+    for i in range(1, len(values)):
+        low = values[i] <= u
+        if (values[i - 1] <= u) != low:
+            start = i
+        elif (values[i - 1] < values[i]) != low:
+            end = i + 1
+            while end < len(values) and (values[end] <= u) == low:
+                end += 1
+            if low:
+                return f"underlined block {tuple(values[start:end])} is not increasing"
+            return f"overlined block {tuple(values[start:end])} is not decreasing"
+    return None
+
+
 def is_callan(perm: Perm, underlined: int, overlined: int) -> bool:
     """
     Does perm (over 1..underlined+overlined) have increasing low-value runs
@@ -75,11 +91,7 @@ def is_callan(perm: Perm, underlined: int, overlined: int) -> bool:
     """
     if len(perm) != underlined + overlined:
         raise ValueError("length must be underlined + overlined")
-    try:
-        CallanWord(values=perm, underlined=underlined, overlined=overlined)
-    except ValueError:
-        return False
-    return True
+    return _callan_violation(perm, underlined, overlined) is None
 
 
 def is_vesztergombi(perm: Perm, k: int, n: int) -> bool:
@@ -100,6 +112,29 @@ def excedance_set(perm: Perm) -> frozenset[int]:
     return frozenset(i for i, v in enumerate(perm, start=1) if v > i)
 
 
+def _in_half_open_window(perm: Perm, n: int, k: int) -> bool:
+    return all(-k <= v - i < n for i, v in enumerate(perm, start=1))
+
+
+def _has_excedance_prefix(perm: Perm, n: int, k: int) -> bool:
+    return excedance_set(perm) == frozenset(range(1, k + 1))
+
+
+def _is_callan_first(perm: Perm, underlined: int, overlined: int, first: int) -> bool:
+    return perm[0] == first and is_callan(perm, underlined, overlined)
+
+
+# family name -> (parameter names, recognizer taking the permutation and
+# those parameters); the first two parameters add up to the size.
+FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., bool]]] = {
+    "vesztergombi": (("k", "n"), is_vesztergombi),
+    "callan": (("underlined", "overlined"), is_callan),
+    "callan_first": (("underlined", "overlined", "first"), _is_callan_first),
+    "window_c": (("n", "k"), _in_half_open_window),
+    "excedance_set": (("n", "k"), _has_excedance_prefix),
+}
+
+
 def is_p_resultant(perm: Perm, p: int) -> bool:
     """
     Can perm in S_n arise by toppling some configuration with doubled site
@@ -109,8 +144,7 @@ def is_p_resultant(perm: Perm, p: int) -> bool:
     n = len(perm)
     if not 1 <= p <= n - 1:
         raise ValueError(f"p outside 1..{n - 1}")
-    cut = n - p
-    return set(perm[:cut]) == set(range(1, cut + 1))
+    return split_at(perm, p) is not None
 
 
 def validate_r_placement(perm: Perm, p: int, r: int) -> bool:
@@ -147,42 +181,39 @@ def enumerate_family(family: str, cap: int = DEFAULT_PERM_CAP, **params: int) ->
       window_c(n, k)                half-open window -k <= perm_i - i < n
       excedance_set(n, k)           excedance set exactly {1..k} in S_{n+k}
     """
-    if family == "vesztergombi":
-        k, n = params["k"], params["n"]
-        _check_cap(k + n, cap)
-        for values in permutations(range(1, k + n + 1)):
-            if all(-k <= v - i <= n for i, v in enumerate(values, start=1)):
-                yield values
-    elif family in ("callan", "callan_first"):
-        u, o = params["underlined"], params["overlined"]
-        first = params.get("first")
-        if family == "callan_first" and first is None:
-            raise ValueError("callan_first needs a first value")
-        _check_cap(u + o, cap)
-        for values in permutations(range(1, u + o + 1)):
-            if first is not None and values[0] != first:
-                continue
-            if is_callan(values, u, o):
-                yield values
-    elif family == "window_c":
-        n, k = params["n"], params["k"]
-        _check_cap(n + k, cap)
-        for values in permutations(range(1, n + k + 1)):
-            if all(-k <= v - i < n for i, v in enumerate(values, start=1)):
-                yield values
-    elif family == "excedance_set":
-        n, k = params["n"], params["k"]
-        _check_cap(n + k, cap)
-        target = frozenset(range(1, k + 1))
-        for values in permutations(range(1, n + k + 1)):
-            if excedance_set(values) == target:
-                yield values
-    else:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    names, recognize = FAMILIES[family]
+    if any(params.get(name) is None for name in names):
+        raise ValueError(f"{family} needs {', '.join(names)}")
+    args = [params[name] for name in names]
+    size = args[0] + args[1]
+    _check_cap(size, cap)
+    for values in permutations(range(1, size + 1)):
+        if recognize(values, *args):
+            yield values
 
 
 def count_family(family: str, cap: int = DEFAULT_PERM_CAP, **params: int) -> int:
     return sum(1 for _ in enumerate_family(family, cap=cap, **params))
+
+
+def count_families(size: int) -> Counter[tuple[str, int, int]]:
+    """
+    Count every two-parameter family at every split of size in one pass
+    over S_size: key (family, x, y) with x + y = size, the parameters in
+    the order of ``FAMILIES``.
+    """
+    _check_cap(size, DEFAULT_PERM_CAP)
+    splits = [(x, size - x) for x in range(1, size)]
+    recognizers = [(name, fn) for name, (names, fn) in FAMILIES.items() if len(names) == 2]
+    counts: Counter[tuple[str, int, int]] = Counter()
+    for values in permutations(range(1, size + 1)):
+        for name, recognize in recognizers:
+            for x, y in splits:
+                if recognize(values, x, y):
+                    counts[name, x, y] += 1
+    return counts
 
 
 def count_acyclic_orientations(n: int, k: int, mode: str = "all") -> int:

@@ -29,10 +29,11 @@ from .core import (
     lift,
     make_configuration,
     map_w,
+    marked_split,
+    record_split,
     records,
     reverse_complement,
     reverse_complement_perm,
-    right_record_values,
     unlift,
 )
 from .engine import resultant, stabilize_passes, stabilize_random
@@ -218,14 +219,6 @@ class ClassArray:
         return range(1, self.p + 1)
 
 
-def _class_of(perm: Perm, p: int) -> tuple[int, int]:
-    cut = len(perm) - p
-    return (
-        len(left_record_values(perm[:cut])),
-        len(right_record_values(perm[cut:])),
-    )
-
-
 def resultant_table(n: int, p: int, include_fibers: bool = False) -> ClassArray:
     """
     Topple every configuration in S(n-1, p) and classify the resultants
@@ -240,7 +233,7 @@ def resultant_table(n: int, p: int, include_fibers: bool = False) -> ClassArray:
         fibers[perm] += 1
     by_class: dict[tuple[int, int], set[int]] = {}
     for perm, size in fibers.items():
-        by_class.setdefault(_class_of(perm, p), set()).add(size)
+        by_class.setdefault(tuple(map(len, record_split(perm, p))), set()).add(size)
     for key, sizes in by_class.items():
         if len(sizes) != 1:
             raise AssertionError(f"class {key} has unequal fibers {sorted(sizes)}")
@@ -249,6 +242,18 @@ def resultant_table(n: int, p: int, include_fibers: bool = False) -> ClassArray:
         for i in range(1, n - p + 1)
     )
     return ClassArray(n=n, p=p, counts=counts, fibers=dict(fibers) if include_fibers else None)
+
+
+def group_by_resultant(n: int, p: int) -> dict[Perm, list[Configuration]]:
+    """
+    The configurations of S(n,p) grouped by resultant, in enumeration
+    order, toppling each once. Holds every configuration in memory, so it
+    is meant for small n.
+    """
+    fibers: dict[Perm, list[Configuration]] = {}
+    for config in enumerate_configurations(n, p):
+        fibers.setdefault(resultant(config)[0], []).append(config)
+    return fibers
 
 
 def resultant_counts_marked(n: int, p: int, r: int) -> dict[Perm, int]:
@@ -266,24 +271,6 @@ def resultant_counts_marked(n: int, p: int, r: int) -> dict[Perm, int]:
         image, _ = resultant(config)
         out[image] += 1
     return dict(out)
-
-
-def marked_split(perm: Perm, p: int, r: int) -> tuple[int, int, int]:
-    """
-    Class key of a marked resultant: (a, b, k) with a left records of the
-    prefix below r, b above it, and k right records of the suffix. For
-    r > n-p the key is computed on the mirrored instance, where the added
-    chip lands in the prefix again.
-    """
-    n = len(perm)
-    cut = n - p
-    if r > cut:
-        return marked_split(reverse_complement_perm(perm), n - p, n + 1 - r)
-    lrec = left_record_values(perm[:cut])
-    a = sum(1 for v in lrec if v < r)
-    b = sum(1 for v in lrec if v > r)
-    k = len(right_record_values(perm[cut:]))
-    return a, b, k
 
 
 def marked_class_table(
@@ -665,7 +652,7 @@ def _verify_resultants(report: VerifyReport, n_max: int) -> None:
             if support != expected:
                 support_ok = False
             for perm, size in fibers.items():
-                i, j = _class_of(perm, p)
+                i, j = map(len, record_split(perm, p))
                 if size != polybernoulli.count_resultant_class(i, j):
                     class_ok = False
             if sum(fibers.values()) != configuration_count(n):
@@ -681,25 +668,11 @@ def _verify_resultants(report: VerifyReport, n_max: int) -> None:
         ((1, 2), (2, 7), (4, 23), (8, 73)),
         table.counts,
     )
-    small = resultant_table(4, 2, include_fibers=True)
-    fibers = small.fibers or {}
-    listed_ok = True
-    for perm_text, configs in S32_FIBERS.items():
-        perm = tuple(int(ch) for ch in perm_text)
-        if fibers.get(perm) != len(configs):
-            listed_ok = False
-    listed = {
-        perm: sorted(
-            format_configuration(config)
-            for config in enumerate_configurations(3, 2)
-            if resultant(config)[0] == perm
-        )
-        for perm in (tuple(int(ch) for ch in text) for text in S32_FIBERS)
-    }
-    for perm_text, configs in S32_FIBERS.items():
-        perm = tuple(int(ch) for ch in perm_text)
-        if listed[perm] != sorted(configs):
-            listed_ok = False
+    grouped = group_by_resultant(3, 2)
+    listed_ok = all(
+        sorted(map(format_configuration, grouped.get(tuple(map(int, text)), ()))) == sorted(configs)
+        for text, configs in S32_FIBERS.items()
+    )
     report.add("exact fibers over S(3,2)", "", True, listed_ok)
 
 
@@ -715,8 +688,7 @@ def _verify_marked(report: VerifyReport, n_max: int) -> None:
         fibers = resultant_counts_marked(6, 3, r)
         matrix: dict[tuple[int, int], set[int]] = {}
         for perm, count in fibers.items():
-            i, j = _class_of(perm, 3)
-            matrix.setdefault((i, j), set()).add(count)
+            matrix.setdefault(tuple(map(len, record_split(perm, 3))), set()).add(count)
         built = tuple(
             tuple(matrix[(i, j)].copy().pop() if len(matrix[(i, j)]) == 1 else -1 for j in (1, 2, 3))
             for i in (1, 2, 3)
@@ -761,11 +733,10 @@ def _verify_engine(report: VerifyReport, n_max: int, seeds: int) -> None:
     for n in range(1, min(n_max, 6) + 1):
         for p in range(1, n + 1):
             for config in enumerate_configurations(n, p):
-                perm, _ = resultant(config)
-                mirrored, _ = resultant(reverse_complement(config))
-                if mirrored != reverse_complement_perm(perm):
-                    sym_ok = False
                 final, trace = stabilize_passes(config)
+                mirrored, _ = resultant(reverse_complement(config))
+                if mirrored != reverse_complement_perm(final.permutation()):
+                    sym_ok = False
                 if len(trace.passes) != min(p, n - p + 1):
                     passes_ok = False
                 occupancy = [c for c in final.occupancy]
@@ -832,19 +803,18 @@ def _verify_correspondences(report: VerifyReport, n_max: int) -> None:
     )
 
 
-def _verify_families(report: VerifyReport, size_cap: int = 8) -> None:
+def _verify_families(report: VerifyReport) -> None:
     vesz_ok = callan_ok = callan_sym_ok = True
     first_ok = window_ok = exc_ok = True
-    for total in range(2, size_cap + 1):
+    for total in range(2, 9):
+        counts = families.count_families(total)
         for k in range(1, total):
             n = total - k
-            if families.count_family("vesztergombi", k=k, n=n) != polybernoulli.b_number(n, k):
+            if counts["vesztergombi", k, n] != polybernoulli.b_number(n, k):
                 vesz_ok = False
-            if families.count_family("callan", underlined=k, overlined=n) != polybernoulli.b_number(k, n):
+            if counts["callan", k, n] != polybernoulli.b_number(k, n):
                 callan_ok = False
-            if families.count_family("callan", underlined=k, overlined=n) != families.count_family(
-                "callan", underlined=n, overlined=k
-            ):
+            if counts["callan", k, n] != counts["callan", n, k]:
                 callan_sym_ok = False
             if total <= 7:
                 first_underlined = sum(
@@ -855,16 +825,16 @@ def _verify_families(report: VerifyReport, size_cap: int = 8) -> None:
                 )
                 if first_underlined != polybernoulli.c_number(k, n):
                     first_ok = False
-            if families.count_family("window_c", n=n, k=k) != polybernoulli.c_number(n, k):
+            if counts["window_c", n, k] != polybernoulli.c_number(n, k):
                 window_ok = False
-            if families.count_family("excedance_set", n=n, k=k) != polybernoulli.c_number(n, k):
+            if counts["excedance_set", n, k] != polybernoulli.c_number(n, k):
                 exc_ok = False
-    report.add("Vesztergombi counts are B(n,k)", f"sizes<={size_cap}", True, vesz_ok)
-    report.add("Callan counts are B(U,O)", f"sizes<={size_cap}", True, callan_ok)
-    report.add("Callan underline/overline symmetry", f"sizes<={size_cap}", True, callan_sym_ok)
+    report.add("Vesztergombi counts are B(n,k)", "sizes<=8", True, vesz_ok)
+    report.add("Callan counts are B(U,O)", "sizes<=8", True, callan_ok)
+    report.add("Callan underline/overline symmetry", "sizes<=8", True, callan_sym_ok)
     report.add("Callan words starting underlined are C(U,O)", "sizes<=7", True, first_ok)
-    report.add("half-open window counts are C(n,k)", f"sizes<={size_cap}", True, window_ok)
-    report.add("excedance-set counts are C(n,k)", f"sizes<={size_cap}", True, exc_ok)
+    report.add("half-open window counts are C(n,k)", "sizes<=8", True, window_ok)
+    report.add("excedance-set counts are C(n,k)", "sizes<=8", True, exc_ok)
     ao_ok = all(
         families.count_acyclic_orientations(n, k)
         == polybernoulli.b_number(n, k)
@@ -925,12 +895,8 @@ def _verify_bijections(report: VerifyReport) -> None:
     phi_ok = True
     for n in range(1, 6):
         for p in range(1, n + 1):
-            fibers: dict[Perm, list[Configuration]] = {}
-            for config in enumerate_configurations(n, p):
-                perm, _ = resultant(config)
-                fibers.setdefault(perm, []).append(config)
-            for perm, members in fibers.items():
-                i, j = _class_of(perm, p)
+            for perm, members in group_by_resultant(n, p).items():
+                i, j = map(len, record_split(perm, p))
                 images = set()
                 for config in members:
                     reduced = bijections.phi(config, perm)

@@ -12,7 +12,8 @@ from functools import cache
 from math import comb, factorial
 from typing import Callable, Sequence
 
-from .core import Perm, left_record_values, right_record_values, reverse_complement_perm
+from .core import Perm, marked_split, split_at
+from .families import validate_r_placement
 
 METHODS = ("closed", "inclusion_exclusion", "recurrence")
 
@@ -35,7 +36,9 @@ def stirling2(n: int, m: int) -> int:
     return m * stirling2(n - 1, m) + stirling2(n - 1, m - 1)
 
 
-def _b_closed(n: int, k: int) -> int:
+@cache
+def b_number(n: int, k: int) -> int:
+    """Cached B(n,k) via the closed formula."""
     return sum(
         factorial(m) ** 2 * stirling2(n + 1, m + 1) * stirling2(k + 1, m + 1)
         for m in range(min(n, k) + 1)
@@ -58,7 +61,9 @@ def _b_recurrence(n: int, k: int) -> int:
     )
 
 
-def _c_closed(n: int, k: int) -> int:
+@cache
+def c_number(n: int, k: int) -> int:
+    """Cached C(n,k) via the closed formula."""
     return sum(
         factorial(m) ** 2 * stirling2(n + 1, m + 1) * stirling2(k, m)
         for m in range(min(n, k) + 1)
@@ -84,13 +89,13 @@ def _c_recurrence(n: int, k: int) -> int:
 
 
 _B_METHODS: dict[str, Callable[[int, int], int]] = {
-    "closed": _b_closed,
+    "closed": b_number,
     "inclusion_exclusion": _b_inclusion_exclusion,
     "recurrence": _b_recurrence,
 }
 
 _C_METHODS: dict[str, Callable[[int, int], int]] = {
-    "closed": _c_closed,
+    "closed": c_number,
     "inclusion_exclusion": _c_inclusion_exclusion,
     "recurrence": _c_recurrence,
 }
@@ -142,18 +147,6 @@ def poly_bernoulli_C(n: int, k: int, method: str = "closed") -> int:
     return fn(n, k)
 
 
-@cache
-def b_number(n: int, k: int) -> int:
-    """Cached B(n,k) via the closed formula."""
-    return _b_closed(n, k)
-
-
-@cache
-def c_number(n: int, k: int) -> int:
-    """Cached C(n,k) via the closed formula."""
-    return _c_closed(n, k)
-
-
 def forward_difference(f: Callable[[int], int], order: int, at: int) -> int:
     """
     Iterated forward difference of an integer family: order m at base x is
@@ -187,15 +180,11 @@ def binomial_transform(prefix: Sequence[int]) -> tuple[int, ...]:
 def count_toppleable_configs(n: int, p: int) -> int:
     """
     Configurations of n+1 chips on n sites (pair at p) that topple to the
-    sorted arrangement: B(n-p+1, p)/2. B is even there, so the division is
-    exact; a remainder would mean the kernel is broken.
+    sorted arrangement: B(n-p+1, p)/2, the resultant class of the identity.
     """
     if not 1 <= p <= n:
         raise ValueError(f"p outside 1..{n}")
-    value = b_number(n - p + 1, p)
-    if value % 2:
-        raise ArithmeticError(f"B({n - p + 1},{p}) = {value} is odd")
-    return value // 2
+    return count_resultant_class(n - p + 1, p)
 
 
 def count_rp_toppleable(n: int, p: int, r: int, method: str = "delta") -> int:
@@ -235,7 +224,8 @@ def count_all_r_toppleable(n: int, p: int) -> int:
 def count_resultant_class(i: int, j: int) -> int:
     """
     Configurations toppling to any fixed resultant whose left part has i
-    records and right part j records: B(i,j)/2.
+    records and right part j records: B(i,j)/2. B is even there, so the
+    division is exact; a remainder would mean the kernel is broken.
     """
     if i < 1 or j < 1:
         raise ValueError("record counts must be at least 1")
@@ -256,21 +246,12 @@ def count_N_pi(perm: Perm, r: int, p: int) -> int:
     C(k, a). Larger r goes through the reverse-complement symmetry.
     Raises when perm is not a resultant reachable with chip r.
     """
-    from .families import is_p_resultant, validate_r_placement
-
     n = len(perm)
     if not 1 <= p <= n - 1 or not 1 <= r <= n:
         raise ValueError(f"(p, r) = ({p}, {r}) outside range for a resultant in S_{n}")
-    if not is_p_resultant(perm, p):
+    if split_at(perm, p) is None:
         raise ValueError(f"{perm} is not decomposable at prefix length {n - p}")
     if not validate_r_placement(perm, p, r):
         raise ValueError(f"chip {r} cannot produce resultant {perm} at site {p}")
-    if r > n - p:
-        return count_N_pi(reverse_complement_perm(perm), n + 1 - r, n - p)
-    prefix = perm[: n - p]
-    suffix = perm[n - p :]
-    lrecords = left_record_values(prefix)
-    a = sum(1 for v in lrecords if v < r)
-    b = sum(1 for v in lrecords if v > r)
-    k = len(right_record_values(suffix))
+    a, b, k = marked_split(perm, p, r)
     return forward_difference(lambda i: b_number(i, k), a, b)

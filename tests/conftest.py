@@ -3,7 +3,7 @@ enumeration layer: plain itertools products that the production code never
 touches."""
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations
 
 import pytest
 
@@ -27,6 +27,15 @@ def oracle_configurations(n: int, p: int) -> list[Configuration]:
 
 def oracle_permutations(n: int):
     return permutations(range(1, n + 1))
+
+
+def oracle_is_callan(perm: tuple[int, ...], underlined: int) -> bool:
+    """Runs of values <= underlined increase, runs of larger values decrease."""
+    for low, run in groupby(perm, key=lambda value: value <= underlined):
+        run = list(run)
+        if run != sorted(run, reverse=not low):
+            return False
+    return True
 
 
 @pytest.fixture(scope="session")

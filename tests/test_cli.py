@@ -52,6 +52,12 @@ class TestTopple:
         assert result.exit_code == 1
         assert "doubled site" in result.output
 
+    @pytest.mark.parametrize("schedule", [("--random",), ("--seed", "3")])
+    def test_trace_needs_pass_schedule(self, runner, schedule):
+        result = run(runner, "topple", "--config", "1,(2,3),4", *schedule, "--trace")
+        assert result.exit_code == 2
+        assert "--trace needs the pass schedule" in result.output
+
     def test_byte_identical_reruns(self, runner):
         first = run(runner, "topple", "--config", "7,3,1,5,(2,4),6,8", "--trace")
         second = run(runner, "topple", "--config", "7,3,1,5,(2,4),6,8", "--trace")
@@ -118,6 +124,23 @@ class TestCount:
 
     def test_ao(self, runner):
         assert run(runner, "count", "ao", "--n", "2", "--k", "2").output == "14\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("toppleable", "--n", "9", "--p", "3", "--method", "simulate"),
+            ("rp", "--n", "9", "--p", "3", "--r", "2", "--method", "brute"),
+            ("family", "--family", "callan", "-u", "5", "-o", "5"),
+            ("ao", "--n", "5", "--k", "5"),
+        ],
+    )
+    def test_cap_is_a_one_line_error(self, runner, args):
+        result = run(runner, "count", *args)
+        assert result.exit_code == 1
+        assert [line for line in result.output.splitlines() if line.startswith("Error:")] == [
+            result.output.strip()
+        ]
+        assert "Traceback" not in result.output
 
 
 class TestTables:
@@ -210,6 +233,11 @@ class TestVerify:
         schema = json.loads((SCHEMAS / "verify-report.schema.json").read_text())
         validate(payload, schema)
         assert payload["ok"] is True
+
+    def test_n_max_must_be_positive(self, runner):
+        result = run(runner, "verify", "--n-max", "0", "--format", "json")
+        assert result.exit_code == 2
+        assert "--n-max" in result.output
 
     def test_text_output(self, runner):
         result = run(runner, "verify", "--n-max", "2", "--seeds", "1")

@@ -4,6 +4,7 @@ from chiptopple.families import (
     CallanWord,
     CapExceeded,
     count_acyclic_orientations,
+    count_families,
     count_family,
     enumerate_family,
     excedance_set,
@@ -13,6 +14,7 @@ from chiptopple.families import (
     validate_r_placement,
 )
 from chiptopple.polybernoulli import b_number, c_number
+from conftest import oracle_is_callan, oracle_permutations
 
 VESZ_15 = (1, 6, 4, 8, 7, 10, 12, 11, 13, 3, 2, 9, 5, 14, 15)
 
@@ -72,6 +74,12 @@ class TestCallan:
         with pytest.raises(ValueError):
             is_callan((1, 2, 3), 2, 2)
 
+    def test_recognizer_matches_run_oracle(self):
+        for size in range(2, 8):
+            for perm in oracle_permutations(size):
+                for u in range(1, size):
+                    assert is_callan(perm, u, size - u) == oracle_is_callan(perm, u), (perm, u)
+
 
 class TestEnumerateFamily:
     def test_callan_first_matches_toppleable_count(self):
@@ -87,12 +95,13 @@ class TestEnumerateFamily:
 
     def test_family_counts_match_numbers(self):
         for total in range(2, 7):
+            table = count_families(total)
             for k in range(1, total):
                 n = total - k
-                assert count_family("vesztergombi", k=k, n=n) == b_number(n, k)
-                assert count_family("callan", underlined=k, overlined=n) == b_number(k, n)
-                assert count_family("window_c", n=n, k=k) == c_number(n, k)
-                assert count_family("excedance_set", n=n, k=k) == c_number(n, k)
+                assert count_family("vesztergombi", k=k, n=n) == table["vesztergombi", k, n] == b_number(n, k)
+                assert count_family("callan", underlined=k, overlined=n) == table["callan", k, n] == b_number(k, n)
+                assert count_family("window_c", n=n, k=k) == table["window_c", n, k] == c_number(n, k)
+                assert count_family("excedance_set", n=n, k=k) == table["excedance_set", n, k] == c_number(n, k)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from itertools import permutations
 from math import factorial
@@ -184,6 +185,10 @@ class TestVerifyReport:
 
     def test_json_round_trips(self):
         report = verify_identities(n_max=2, seeds=1)
+        # the report bytes are pinned: a refactor of verify must not change them
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+            "4066a1b601955c9b647ca60b55f5f38f313a570c5a579d06aeee66505cf7a039"
+        )
         payload = json.loads(report.to_json())
         assert payload["ok"] is True
         assert payload["summary"]["mismatch"] == 0
