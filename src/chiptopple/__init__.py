@@ -31,11 +31,9 @@ from .core import (
 from .engine import (
     FinalState,
     PassTrace,
-    ToppleState,
     resultant,
     stabilize_passes,
     stabilize_random,
-    topple_step,
 )
 from .characterize import is_all_r_toppleable, is_p_toppleable, is_rp_toppleable
 from .polybernoulli import (

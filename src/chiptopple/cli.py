@@ -22,6 +22,8 @@ from .core import (
 )
 from .families import CallanWord, CapExceeded
 
+_POSITIVE = click.IntRange(min=1)
+
 
 def _fail_on_value_error(fn, *args, **kwargs):
     """Run fn and turn a domain error (bad input or an enumeration cap) into one Error: line."""
@@ -115,7 +117,7 @@ def count() -> None:
     default="formula",
     show_default=True,
 )
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=_POSITIVE, default=1, show_default=True)
 def count_toppleable(n: int, p: int, method: str, jobs: int) -> None:
     """Configurations in S(n,p) toppling to the sorted arrangement."""
     if method == "formula":
@@ -135,7 +137,7 @@ def count_toppleable(n: int, p: int, method: str, jobs: int) -> None:
     default="delta",
     show_default=True,
 )
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=_POSITIVE, default=1, show_default=True)
 def count_rp(n: int, p: int, r: int, method: str, jobs: int) -> None:
     """Permutations of 1..n toppleable with chip r at site p."""
     if method == "brute":
@@ -151,7 +153,7 @@ def count_rp(n: int, p: int, r: int, method: str, jobs: int) -> None:
 @click.option(
     "--method", type=click.Choice(["formula", "brute"]), default="formula", show_default=True
 )
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=_POSITIVE, default=1, show_default=True)
 def count_all_r(n: int, p: int, method: str, jobs: int) -> None:
     """Permutations of 1..n toppleable for every added chip at site p."""
     if method == "brute":
@@ -262,15 +264,17 @@ def _emit_table(header: list[str], rows: list[list[object]], fmt: str) -> None:
     type=click.Choice(["1a", "1b", "2", "resultant-fibers", "T-array", "T-counts", "Npi"]),
     required=True,
 )
-@click.option("--n", type=int, default=None)
-@click.option("--p", type=int, default=None)
-@click.option("--r", type=int, default=None)
+@click.option("--n", type=click.IntRange(min=0), default=None)
+@click.option("--p", type=_POSITIVE, default=None)
+@click.option("--r", type=_POSITIVE, default=None)
 @click.option(
     "--format", "fmt", type=click.Choice(["text", "csv", "json"]), default="text", show_default=True
 )
-@click.option("--jobs", type=int, default=1, show_default=True, help="Workers for brute-force tables.")
+@click.option("--jobs", type=_POSITIVE, default=1, show_default=True, help="Workers for brute-force tables.")
 def tables(which: str, n: int | None, p: int | None, r: int | None, fmt: str, jobs: int) -> None:
     """Rebuild one of the published tables (exact values)."""
+    if n == 0 and which in ("2", "T-counts"):
+        raise click.ClickException(f"table {which} needs --n >= 1")
     if which in ("1a", "1b"):
         size = 5 if n is None else n
         fn = polybernoulli.b_number if which == "1a" else polybernoulli.c_number
@@ -403,9 +407,9 @@ def biject_phi_inverse(literal: str, perm: str, p: int | None) -> None:
 # ---------------------------------------------------------------------------
 
 @cli.command()
-@click.option("--n-max", type=click.IntRange(min=1), default=5, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
-@click.option("--seeds", type=int, default=5, show_default=True, help="Seeds per configuration in the schedule check.")
+@click.option("--n-max", type=_POSITIVE, default=5, show_default=True)
+@click.option("--jobs", type=_POSITIVE, default=1, show_default=True)
+@click.option("--seeds", type=_POSITIVE, default=5, show_default=True, help="Seeds per configuration in the schedule check.")
 @click.option(
     "--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True
 )

@@ -196,12 +196,12 @@ class Configuration:
                 return i
         raise ValueError(f"no chip labelled {chip}")
 
-    def chip_positions(self) -> dict[int, int]:
-        pos = {}
-        for i, content in enumerate(self.sites, start=1):
-            for chip in content:
-                pos[chip] = i
-        return pos
+    @classmethod
+    def _trusted(cls, n: int, p: int, sites: tuple[tuple[int, ...], ...]) -> "Configuration":
+        """Build without validation, for producers whose output is valid by construction."""
+        config = object.__new__(cls)
+        config.__dict__.update(n=n, p=p, sites=sites)
+        return config
 
 
 def make_configuration(site_contents: Sequence[int | Iterable[int]]) -> Configuration:
@@ -307,16 +307,12 @@ def reverse_complement(config: Configuration) -> Configuration:
     Reflect sites i -> n+1-i and complement chips c -> n+2-c. An involution
     carrying the doubled site p to n+1-p.
     """
-    n = config.n
+    top = config.n + 2
+    # complementing reverses the order of a sorted pair
     sites = tuple(
-        tuple(sorted(n + 2 - c for c in content)) for content in reversed(config.sites)
+        tuple(top - c for c in reversed(content)) for content in reversed(config.sites)
     )
-    return Configuration(n=n, p=n + 1 - config.p, sites=sites)
-
-
-def reverse_complement_marked(marked: MarkedConfiguration) -> MarkedConfiguration:
-    config = reverse_complement(marked.config)
-    return MarkedConfiguration(config=config, mark=marked.config.n + 2 - marked.mark)
+    return Configuration._trusted(config.n, config.n + 1 - config.p, sites)
 
 
 # ---------------------------------------------------------------------------

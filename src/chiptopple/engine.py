@@ -6,77 +6,22 @@ schedule (site uniform over eligible sites, pair uniform over 2-subsets)
 and the deterministic pass schedule, which topples the doubled site once
 and then every other eligible site until only the doubled site remains.
 Both reach the same final state; the random one exists so that tests can
-exercise schedule independence.
+exercise schedule independence. The pass schedule is one loop: it drives
+``stabilize_passes``, which records a snapshot after each pass, and
+``resultant``, which records nothing.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 import random
-from typing import Sequence
+from typing import Iterator
 
 from .core import Configuration, Perm
 
 
 class ConfinementError(RuntimeError):
     """A chip was about to leave the segment 0..n+1 (dynamics bug)."""
-
-
-@dataclasses.dataclass(frozen=True)
-class ToppleState:
-    """Snapshot of the chips per site over the sites 0..n+1."""
-
-    n: int
-    chips_at: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.chips_at) != self.n + 2:
-            raise ValueError("state must cover sites 0..n+1")
-        chips = [c for content in self.chips_at for c in content]
-        if sorted(chips) != list(range(1, self.n + 2)):
-            raise ValueError(f"chips must be exactly 1..{self.n + 1}")
-
-    @classmethod
-    def from_configuration(cls, config: Configuration) -> "ToppleState":
-        chips_at = ((),) + config.sites + ((),)
-        return cls(n=config.n, chips_at=chips_at)
-
-    def eligible_sites(self) -> tuple[int, ...]:
-        return tuple(i for i, content in enumerate(self.chips_at) if len(content) >= 2)
-
-
-def topple_step(
-    state: ToppleState,
-    site: int,
-    pair: tuple[int, int] | None = None,
-    rng: random.Random | None = None,
-) -> ToppleState:
-    """
-    Topple one site: remove chips a < b there, put a at site-1 and b at
-    site+1. ``pair`` forces the choice; with exactly two chips the step is
-    deterministic; otherwise an rng must supply the 2-subset.
-    """
-    chips = state.chips_at[site]
-    if len(chips) < 2:
-        raise ValueError(f"site {site} holds {len(chips)} chips; toppling needs 2")
-    if site - 1 < 0 or site + 1 > state.n + 1:
-        raise ConfinementError(f"toppling site {site} would push a chip off 0..{state.n + 1}")
-    if pair is not None:
-        a, b = sorted(pair)
-        if a not in chips or b not in chips or a == b:
-            raise ValueError(f"pair {pair} not available at site {site}")
-    elif len(chips) == 2:
-        a, b = chips
-    else:
-        if rng is None:
-            raise ValueError("site holds more than two chips; supply pair or rng")
-        a, b = sorted(rng.sample(chips, 2))
-    new = [list(content) for content in state.chips_at]
-    new[site].remove(a)
-    new[site].remove(b)
-    new[site - 1].append(a)
-    new[site + 1].append(b)
-    return ToppleState(n=state.n, chips_at=tuple(tuple(sorted(c)) for c in new))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,24 +76,14 @@ class PassTrace:
 
 
 def _working_state(config: Configuration) -> list[list[int]]:
-    state: list[list[int]] = [[] for _ in range(config.n + 2)]
-    for i, content in enumerate(config.sites, start=1):
-        state[i] = list(content)
-    return state
+    return [[]] + [list(content) for content in config.sites] + [[]]
 
 
-def _final_state(n: int, state: Sequence[Sequence[int]]) -> FinalState:
-    occupancy = []
-    empty = -1
-    for i, chips in enumerate(state):
-        if not chips:
-            if empty != -1:
-                raise AssertionError("more than one empty site after stabilization")
-            empty = i
-            occupancy.append(0)
-        else:
-            occupancy.append(chips[0])
-    return FinalState(n=n, occupancy=tuple(occupancy), empty_site=empty)
+def _final_state(n: int, state: list[list[int]]) -> FinalState:
+    # n+1 chips on n+2 sites leave at least one hole; FinalState checks
+    # that there is exactly one, which also rules out a doubled site
+    occupancy = tuple(chips[0] if chips else 0 for chips in state)
+    return FinalState(n=n, occupancy=occupancy, empty_site=occupancy.index(0))
 
 
 def stabilize_random(config: Configuration, seed: int) -> tuple[FinalState, int]:
@@ -195,15 +130,50 @@ def stabilize_random(config: Configuration, seed: int) -> tuple[FinalState, int]
     return _final_state(config.n, state), topples
 
 
-def _arms(state: Sequence[Sequence[int]], topples: int) -> PassSnapshot:
-    empties = [i for i, chips in enumerate(state) if not chips]
-    if not empties:
-        raise AssertionError("pass finished with no empty site")
-    first, last = empties[0], empties[-1]
-    left_arm = tuple(state[i][0] for i in range(first))
-    right_arm = tuple(state[i][0] for i in range(last + 1, len(state)))
-    active = tuple(tuple(state[i]) for i in range(first + 1, last) if state[i])
-    return PassSnapshot(left_arm=left_arm, active=active, right_arm=right_arm, topples=topples)
+def _passes(state: list[list[int]], p: int) -> Iterator[int]:
+    """
+    Run the pass schedule on ``state`` in place and yield the toppling
+    count of each pass. Sites are not kept sorted: a toppling sorts only a
+    site holding three chips or more, to take its two smallest.
+    """
+    last = len(state) - 1
+    while len(state[p]) >= 2:
+        topples = 0
+        stack = [p]
+        while stack:
+            site = stack.pop()
+            chips = state[site]
+            if len(chips) < 2:
+                continue
+            if site == 0 or site == last:
+                raise ConfinementError(f"end site {site} became eligible")
+            if len(chips) == 2:
+                a, b = chips
+                if a > b:
+                    a, b = b, a
+                chips.clear()
+            else:
+                chips.sort()
+                a, b = chips[0], chips[1]
+                del chips[:2]
+            state[site - 1].append(a)
+            state[site + 1].append(b)
+            topples += 1
+            for neighbour in (site - 1, site + 1):
+                if neighbour != p and len(state[neighbour]) >= 2:
+                    stack.append(neighbour)
+        yield topples
+
+
+def _snapshot(state: list[list[int]], topples: int) -> PassSnapshot:
+    holes = [i for i, chips in enumerate(state) if not chips]
+    first, last = holes[0], holes[-1]
+    return PassSnapshot(
+        left_arm=tuple(state[i][0] for i in range(first)),
+        active=tuple(tuple(sorted(state[i])) for i in range(first + 1, last) if state[i]),
+        right_arm=tuple(state[i][0] for i in range(last + 1, len(state))),
+        topples=topples,
+    )
 
 
 def stabilize_passes(config: Configuration) -> tuple[FinalState, PassTrace]:
@@ -212,42 +182,9 @@ def stabilize_passes(config: Configuration) -> tuple[FinalState, PassTrace]:
     site other than it until none remains; repeat until stable. Records a
     snapshot (left arm, active part, right arm) after each pass.
     """
-    p = config.p
     state = _working_state(config)
-    last = config.n + 1
-
-    def topple_once(site: int) -> None:
-        if site == 0 or site == last:
-            raise ConfinementError(f"end site {site} became eligible")
-        chips = state[site]
-        a, b = chips[0], chips[1]
-        if a > b:
-            a, b = b, a
-        del chips[:2]
-        state[site - 1].append(a)
-        state[site - 1].sort()
-        state[site + 1].append(b)
-        state[site + 1].sort()
-
-    snapshots: list[PassSnapshot] = []
-    while len(state[p]) >= 2:
-        topple_once(p)
-        topples = 1
-        stack = [p - 1, p + 1]
-        while stack:
-            site = stack.pop()
-            if site == p or len(state[site]) < 2:
-                continue
-            topple_once(site)
-            topples += 1
-            for neighbour in (site - 1, site + 1):
-                if neighbour != p and len(state[neighbour]) >= 2:
-                    stack.append(neighbour)
-        snapshots.append(_arms(state, topples))
-    for site, chips in enumerate(state):
-        if len(chips) >= 2:
-            raise AssertionError(f"site {site} still doubled after the last pass")
-    return _final_state(config.n, state), PassTrace(n=config.n, p=p, passes=tuple(snapshots))
+    passes = tuple(_snapshot(state, topples) for topples in _passes(state, config.p))
+    return _final_state(config.n, state), PassTrace(n=config.n, p=config.p, passes=passes)
 
 
 def resultant(config: Configuration) -> tuple[Perm, int]:
@@ -255,5 +192,8 @@ def resultant(config: Configuration) -> tuple[Perm, int]:
     The permutation of 1..n+1 left by stabilization, read left to right
     skipping the empty site, plus the empty site's index.
     """
-    final, _ = stabilize_passes(config)
+    state = _working_state(config)
+    for _ in _passes(state, config.p):
+        pass
+    final = _final_state(config.n, state)
     return final.permutation(), final.empty_site

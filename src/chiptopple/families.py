@@ -39,9 +39,6 @@ class CallanWord:
         if violation is not None:
             raise ValueError(violation)
 
-    def is_underlined(self, value: int) -> bool:
-        return value <= self.underlined
-
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Maximal runs of same-class values, in word order."""
         out: list[list[int]] = []

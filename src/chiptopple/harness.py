@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
@@ -27,7 +28,6 @@ from .core import (
     inverse,
     left_record_values,
     lift,
-    make_configuration,
     map_w,
     marked_split,
     record_split,
@@ -116,17 +116,14 @@ def enumerate_configurations(
     pairs = list(combinations(chips, 2))
     for pair_index in range(lo // per_pair, (hi + per_pair - 1) // per_pair):
         pair = pairs[pair_index]
-        rest = tuple(c for c in chips if c not in pair)
+        singles = tuple((c,) for c in chips if c not in pair)
         base = pair_index * per_pair
         sub_lo = max(lo - base, 0)
         sub_hi = min(hi - base, per_pair)
         for arrangement in iter_permutations(n - 1, sub_lo, sub_hi):
-            placed = tuple(rest[k - 1] for k in arrangement)
-            contents: list[int | tuple[int, int]] = []
-            it = iter(placed)
-            for site in range(1, n + 1):
-                contents.append(pair if site == p else next(it))
-            yield make_configuration(contents)
+            placed = [singles[k - 1] for k in arrangement]
+            placed.insert(p - 1, pair)
+            yield Configuration._trusted(n, p, tuple(placed))
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +163,17 @@ def _chunked(total: int, pieces: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
+def _pool_size(jobs: int, chunks: int) -> int:
+    """Workers to start: no more than asked for, than CPUs, or than chunks of work."""
+    return min(jobs, os.cpu_count() or 1, chunks)
+
+
 def _parallel_sum(worker: Callable, prefix: tuple, total: int, jobs: int) -> int:
-    if jobs <= 1:
-        return worker(prefix + (0, total))
     chunks = [prefix + span for span in _chunked(total, jobs * 4)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _pool_size(jobs, len(chunks))
+    if workers <= 1:
+        return worker(prefix + (0, total))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(worker, chunks))
 
 
@@ -303,10 +306,10 @@ def schedule_independence(n: int, p: int, seeds: int, base_seed: int = 0) -> int
     """
     runs = 0
     for config in enumerate_configurations(n, p):
-        reference, _ = stabilize_passes(config)
+        reference = resultant(config)
         for offset in range(seeds):
             final, _ = stabilize_random(config, base_seed + offset)
-            if final != reference:
+            if (final.permutation(), final.empty_site) != reference:
                 raise AssertionError(
                     f"seed {base_seed + offset} disagrees on {format_configuration(config)}"
                 )
@@ -638,10 +641,9 @@ def _verify_resultants(report: VerifyReport, n_max: int) -> None:
             support = set()
             fibers: Counter[Perm] = Counter()
             for config in enumerate_configurations(n, p):
-                final, _ = stabilize_passes(config)
-                if final.empty_site != n - p + 1:
+                perm, empty_site = resultant(config)
+                if empty_site != n - p + 1:
                     empty_ok = False
-                perm = final.permutation()
                 support.add(perm)
                 fibers[perm] += 1
             expected = {

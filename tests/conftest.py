@@ -6,6 +6,7 @@ from __future__ import annotations
 from itertools import combinations, groupby, permutations
 
 import pytest
+from hypothesis import strategies as st
 
 from chiptopple.core import Configuration, make_configuration
 
@@ -23,6 +24,19 @@ def oracle_configurations(n: int, p: int) -> list[Configuration]:
                 contents.append(pair if site == p else next(it))
             out.append(make_configuration(contents))
     return out
+
+
+@st.composite
+def small_configurations(draw):
+    """A configuration with up to ten sites, built by the validating literal builder."""
+    n = draw(st.integers(1, 10))
+    p = draw(st.integers(1, n))
+    chips = list(range(1, n + 2))
+    shuffled = draw(st.permutations(chips))
+    pair = tuple(sorted(shuffled[:2]))
+    rest = iter(shuffled[2:])
+    contents = [pair if site == p else next(rest) for site in range(1, n + 1)]
+    return make_configuration(contents)
 
 
 def oracle_permutations(n: int):

@@ -192,6 +192,27 @@ class TestTables:
         result = run(runner, "tables", "--which", "T-array")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "args,exit_code",
+        [
+            (("1a", "--n", "-1"), 2),
+            (("T-array", "--n", "6", "--p", "0"), 2),
+            (("2", "--n", "0"), 1),
+            (("T-counts", "--n", "0"), 1),
+        ],
+    )
+    def test_sizes_are_bounded(self, runner, args, exit_code):
+        result = run(runner, "tables", "--which", *args)
+        assert result.exit_code == exit_code
+        assert "Error:" in result.output
+        if exit_code == 1:
+            assert result.output.strip() == f"Error: table {args[0]} needs --n >= 1"
+
+    def test_empty_number_table(self, runner):
+        result = run(runner, "tables", "--which", "1b", "--n", "0", "--format", "csv")
+        assert result.exit_code == 0
+        assert result.output == "n\\k,0\n0,1\n"
+
 
 class TestBiject:
     def test_callan_to_vesz_worked_example(self, runner):
@@ -235,9 +256,10 @@ class TestVerify:
         assert payload["ok"] is True
 
     def test_n_max_must_be_positive(self, runner):
-        result = run(runner, "verify", "--n-max", "0", "--format", "json")
-        assert result.exit_code == 2
-        assert "--n-max" in result.output
+        for option, value in (("--n-max", "0"), ("--seeds", "0"), ("--seeds", "-1"), ("--jobs", "0")):
+            result = run(runner, "verify", option, value, "--format", "json")
+            assert result.exit_code == 2
+            assert option in result.output
 
     def test_text_output(self, runner):
         result = run(runner, "verify", "--n-max", "2", "--seeds", "1")

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiptopple.core import (
+    Configuration,
     format_configuration,
     format_marked_configuration,
     format_permutation,
@@ -23,7 +24,7 @@ from chiptopple.core import (
     split_at,
     unlift,
 )
-from conftest import oracle_configurations, oracle_permutations
+from conftest import oracle_configurations, oracle_permutations, small_configurations
 
 perms = st.integers(1, 7).flatmap(lambda n: st.permutations(list(range(1, n + 1)))).map(tuple)
 
@@ -198,6 +199,11 @@ class TestReverseComplement:
             mirrored = reverse_complement(config)
             assert mirrored.p == n + 1 - p
             assert reverse_complement(mirrored) == config
+
+    @given(small_configurations())
+    def test_image_equals_validated_configuration(self, config):
+        mirrored = reverse_complement(config)
+        assert mirrored == Configuration(n=mirrored.n, p=mirrored.p, sites=mirrored.sites)
 
     @given(perms)
     def test_perm_variant_is_involution(self, perm):

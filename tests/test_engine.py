@@ -1,56 +1,12 @@
 import json
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiptopple.core import make_configuration, parse_configuration, reverse_complement, reverse_complement_perm
-from chiptopple.engine import (
-    FinalState,
-    ToppleState,
-    resultant,
-    stabilize_passes,
-    stabilize_random,
-    topple_step,
-)
-from conftest import oracle_configurations
-
-
-def state_of(text: str) -> ToppleState:
-    return ToppleState.from_configuration(parse_configuration(text))
-
-
-class TestToppleStep:
-    def test_deterministic_pair(self):
-        state = state_of("1,(2,3),4")
-        after = topple_step(state, 2)
-        assert after.chips_at == ((), (1, 2), (), (3, 4), ())
-
-    def test_forced_smallest(self):
-        state = ToppleState.from_configuration(make_configuration([(1, 2)]))
-        after = topple_step(state, 1)
-        assert after.chips_at == ((1,), (), (2,))
-
-    def test_three_chips_explicit_pair(self):
-        state = ToppleState(n=3, chips_at=((), (1, 2, 3), (), (4,), ()))
-        after = topple_step(state, 1, pair=(1, 3))
-        assert after.chips_at == ((1,), (2,), (3,), (4,), ())
-
-    def test_three_chips_need_rng_or_pair(self):
-        state = ToppleState(n=3, chips_at=((), (1, 2, 3), (), (4,), ()))
-        with pytest.raises(ValueError):
-            topple_step(state, 1)
-        after = topple_step(state, 1, rng=random.Random(0))
-        assert sum(len(c) for c in after.chips_at) == 4
-
-    def test_too_few_chips(self):
-        with pytest.raises(ValueError):
-            topple_step(state_of("1,(2,3),4"), 1)
-
-    def test_missing_pair_rejected(self):
-        with pytest.raises(ValueError):
-            topple_step(state_of("1,(2,3),4"), 2, pair=(1, 3))
+from chiptopple.engine import FinalState, resultant, stabilize_passes, stabilize_random
+from conftest import oracle_configurations, small_configurations
 
 
 FIXED_POINTS = [
@@ -111,18 +67,6 @@ class TestStabilize:
         assert len(payload) == 2
         for snap in payload:
             assert set(snap) == {"left_arm", "active", "right_arm", "topples"}
-
-
-@st.composite
-def small_configurations(draw):
-    n = draw(st.integers(1, 6))
-    p = draw(st.integers(1, n))
-    chips = list(range(1, n + 2))
-    shuffled = draw(st.permutations(chips))
-    pair = tuple(sorted(shuffled[:2]))
-    rest = iter(shuffled[2:])
-    contents = [pair if site == p else next(rest) for site in range(1, n + 1)]
-    return make_configuration(contents)
 
 
 class TestScheduleIndependence:

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chiptopple import harness
+from chiptopple.core import Configuration
 from chiptopple.families import CapExceeded
 from chiptopple.harness import (
     DOCUMENTED,
@@ -71,6 +73,11 @@ class TestEnumerateConfigurations:
     def test_matches_oracle(self, n, p):
         assert set(enumerate_configurations(n, p)) == set(oracle_configurations(n, p))
 
+    @pytest.mark.parametrize("n,p", [(n, p) for n in range(1, 6) for p in range(1, n + 1)])
+    def test_yields_validated_configurations(self, n, p):
+        for config in enumerate_configurations(n, p):
+            assert config == Configuration(n=config.n, p=config.p, sites=config.sites)
+
     def test_range_slicing(self):
         full = list(enumerate_configurations(4, 3))
         pieces = [
@@ -105,6 +112,16 @@ class TestBruteCounts:
     def test_parallel_matches_serial(self):
         assert brute_count_toppleable(5, 2, jobs=2) == brute_count_toppleable(5, 2)
         assert brute_T(5, 2, 3, jobs=2) == 22
+
+    def test_pool_size_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        assert harness._pool_size(1, 40) == 1
+        assert harness._pool_size(3, 40) == 3
+        assert harness._pool_size(10**6, 40) == 4
+        assert harness._pool_size(10**6, 2) == 2
+        assert harness._pool_size(2, 0) == 0
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        assert harness._pool_size(10**6, 40) == 1
 
     def test_T_examples(self):
         assert brute_T(5, 2, 3) == 22
