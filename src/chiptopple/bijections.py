@@ -18,7 +18,7 @@ the remaining freedom.
 from __future__ import annotations
 
 from .core import Configuration, Perm, record_split, records
-from .families import CallanWord, is_p_resultant, is_vesztergombi
+from .families import CALLAN_SIZES, CallanWord, is_p_resultant, is_vesztergombi
 
 
 def callan_to_vesztergombi(word: CallanWord) -> Perm:
@@ -68,6 +68,8 @@ def vesztergombi_to_callan(sigma: Perm, underlined: int, overlined: int) -> Call
     """
     u, o = underlined, overlined
     total = u + o
+    if u < 1 or o < 1:
+        raise ValueError(CALLAN_SIZES)
     if not is_vesztergombi(sigma, u, o):
         raise ValueError(f"{sigma} is not ({u},{o})-Vesztergombi")
     start = sigma.index(o + 1) + 1

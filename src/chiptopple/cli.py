@@ -19,6 +19,7 @@ from .core import (
     format_permutation,
     parse_configuration,
     parse_permutation,
+    record_split,
 )
 from .families import CallanWord, CapExceeded
 
@@ -298,9 +299,11 @@ def tables(which: str, n: int | None, p: int | None, r: int | None, fmt: str, jo
     if which == "resultant-fibers":
         if n is None or p is None:
             raise click.UsageError("resultant-fibers needs --n (resultant size) and --p")
-        # resultant_table checks p and that every record class has one fiber size
-        _fail_on_value_error(harness.resultant_table, n, p)
-        grouped = harness.group_by_resultant(n - 1, p)
+        grouped = _fail_on_value_error(harness.group_by_resultant, n - 1, p)
+        harness.fiber_classes(
+            {perm: len(members) for perm, members in grouped.items()},
+            lambda perm: tuple(map(len, record_split(perm, p))),
+        )
         rows = [
             [
                 format_permutation(perm),
@@ -314,12 +317,9 @@ def tables(which: str, n: int | None, p: int | None, r: int | None, fmt: str, jo
     if which == "T-array":
         if n is None or p is None:
             raise click.UsageError("T-array needs --n (resultant size) and --p")
-        table = _fail_on_value_error(harness.resultant_table, n, p, False)
-        header = ["i\\j"] + [str(j) for j in table.col_range()]
-        rows = [
-            [i] + list(table.counts[i - 1])
-            for i in table.row_range()
-        ]
+        table = _fail_on_value_error(harness.resultant_table, n, p)
+        header = ["i\\j"] + [str(j) for j in range(1, p + 1)]
+        rows = [[i] + list(row) for i, row in enumerate(table.counts, start=1)]
         _emit_table(header, rows, fmt)
         return
     if which == "T-counts":

@@ -20,6 +20,7 @@ from .core import Perm, left_record_values, right_record_values, split_at
 
 DEFAULT_PERM_CAP = 9  # enumerate at most 9! permutations
 AO_BIT_CAP = 20  # at most 2^20 orientations
+CALLAN_SIZES = "need at least one underlined and one overlined value"
 
 
 class CapExceeded(RuntimeError):
@@ -58,7 +59,7 @@ def _callan_violation(values: Perm, underlined: int, overlined: int) -> str | No
     """The first rule that values breaks as a Callan word, or None."""
     u, o = underlined, overlined
     if u < 1 or o < 1:
-        return "need at least one underlined and one overlined value"
+        return CALLAN_SIZES
     if set(values) != set(range(1, u + o + 1)):
         return f"values must be a permutation of 1..{u + o}"
     start = 0  # where the current block began
@@ -184,6 +185,10 @@ def enumerate_family(family: str, cap: int = DEFAULT_PERM_CAP, **params: int) ->
     if any(params.get(name) is None for name in names):
         raise ValueError(f"{family} needs {', '.join(names)}")
     args = [params[name] for name in names]
+    if names[0] == "underlined" and min(args[:2]) < 1:
+        raise ValueError(CALLAN_SIZES)
+    if min(args[:2]) < 0:
+        raise ValueError(f"{family} sizes must be at least 0")
     size = args[0] + args[1]
     _check_cap(size, cap)
     for values in permutations(range(1, size + 1)):
@@ -224,6 +229,8 @@ def count_acyclic_orientations(n: int, k: int, mode: str = "all") -> int:
     """
     if mode not in ("all", "unique_sink_anywhere", "unique_sink_fixed_vertex"):
         raise ValueError(f"unknown mode {mode!r}")
+    if n < 0 or k < 0:
+        raise ValueError("part sizes must be at least 0")
     edges = [(a, n + b) for a in range(n) for b in range(k)]
     if len(edges) > AO_BIT_CAP:
         raise CapExceeded(f"{len(edges)} edges exceeds the {AO_BIT_CAP}-bit cap")

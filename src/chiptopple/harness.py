@@ -2,12 +2,13 @@
 identity-verification report.
 
 Enumeration is chunkable: permutations and configurations are indexed
-lexicographically, workers count disjoint rank ranges, and partial counts
-merge by addition, so results do not depend on the worker count. The
-verification report replays every counting identity of the library by
-independent brute force and flags the few places where the published
-tables disagree with their own formulas as documented discrepancies
-instead of failures.
+lexicographically, workers handle disjoint rank ranges, and partial
+results (counts or tallies) merge by addition, so results do not depend on
+the worker count. The verification report replays every counting identity
+of the library by independent brute force, toppling each configuration
+once per run, and flags the few places where the published tables
+disagree with their own formulas as documented discrepancies instead of
+failures.
 """
 from __future__ import annotations
 
@@ -16,9 +17,11 @@ import json
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, islice, permutations
 from math import comb, factorial
-from typing import Callable, Iterator
+from operator import add
+from typing import Callable, Hashable, Iterator, Mapping
 
 from . import bijections, characterize, families, polybernoulli
 from .core import (
@@ -41,54 +44,18 @@ from .families import CallanWord, CapExceeded
 
 PERM_CAP = 8  # enumerate at most 8! permutations by default
 CONFIG_CAP = 7  # enumerate configurations up to n = 7 by default
+ENGINE_N = 6  # verify checks the pass structure on S(n,p) up to n = 6
+
+Sweep = dict[tuple[int, int], Counter]  # (n, p) -> tally of S(n,p), see _sweep_chunk
 
 
 # ---------------------------------------------------------------------------
-# Lexicographic ranking
+# Enumeration
 # ---------------------------------------------------------------------------
-
-def unrank_permutation(values: tuple[int, ...], rank: int) -> Perm:
-    """The rank'th permutation of the sorted values, lexicographically."""
-    pool = sorted(values)
-    n = len(pool)
-    if not 0 <= rank < factorial(n):
-        raise ValueError(f"rank {rank} outside 0..{factorial(n) - 1}")
-    out = []
-    for i in range(n, 0, -1):
-        quotient, rank = divmod(rank, factorial(i - 1))
-        out.append(pool.pop(quotient))
-    return tuple(out)
-
-
-def rank_permutation(perm: Perm) -> int:
-    pool = sorted(perm)
-    rank = 0
-    for value in perm:
-        index = pool.index(value)
-        rank += index * factorial(len(pool) - 1)
-        pool.pop(index)
-    return rank
-
 
 def iter_permutations(n: int, lo: int = 0, hi: int | None = None) -> Iterator[Perm]:
     """Permutations of 1..n with lexicographic ranks in [lo, hi)."""
-    total = factorial(n)
-    hi = total if hi is None else min(hi, total)
-    if lo >= hi:
-        return
-    current = list(unrank_permutation(tuple(range(1, n + 1)), lo))
-    yield tuple(current)
-    for _ in range(hi - lo - 1):
-        # in-place next lexicographic permutation
-        i = len(current) - 2
-        while current[i] > current[i + 1]:
-            i -= 1
-        j = len(current) - 1
-        while current[j] < current[i]:
-            j -= 1
-        current[i], current[j] = current[j], current[i]
-        current[i + 1 :] = reversed(current[i + 1 :])
-        yield tuple(current)
+    yield from islice(permutations(range(1, n + 1)), lo, hi)
 
 
 def configuration_count(n: int) -> int:
@@ -158,23 +125,67 @@ def _all_r_chunk(args: tuple[int, int, int, int]) -> int:
     return sum(1 for perm in iter_permutations(n, lo, hi) if characterize.is_all_r_toppleable(perm, p))
 
 
+def _sweep_chunk(args: tuple[int, int, int, int]) -> Counter:
+    """
+    Topple the configurations of S(n,p) with ranks in [lo, hi) once each,
+    by passes, and tally what the verify report reads from them:
+    tally[fact, value] counts the configurations on which fact took value.
+    The facts are the resultant, the empty site and the window oracle's
+    verdict; for n <= ENGINE_N also the pass count, the first pass's
+    topplings beyond n, whether every pass's arms are frozen in the final
+    state, and whether the mirrored configuration topples to the mirrored
+    resultant.
+    """
+    n, p, lo, hi = args
+    tally: Counter = Counter()
+    for config in enumerate_configurations(n, p, lo, hi):
+        final, trace = stabilize_passes(config)
+        perm = final.permutation()
+        tally["resultant", perm] += 1
+        tally["empty site", final.empty_site] += 1
+        tally["window", characterize.is_p_toppleable(config)] += 1
+        if n <= ENGINE_N:
+            occupancy = final.occupancy
+            frozen = all(
+                snap.left_arm == occupancy[: len(snap.left_arm)]
+                and snap.right_arm == occupancy[len(occupancy) - len(snap.right_arm) :]
+                for snap in trace.passes
+            )
+            mirrored, _ = resultant(reverse_complement(config))
+            tally["passes", len(trace.passes)] += 1
+            tally["first pass", trace.passes[0].topples - n] += 1
+            tally["arms frozen", frozen] += 1
+            tally["mirror commutes", mirrored == reverse_complement_perm(perm)] += 1
+    return tally
+
+
+def _observed(tally: Counter, fact: str) -> dict:
+    """The values that fact took in a sweep tally, with their counts."""
+    return {value: count for (name, value), count in tally.items() if name == fact}
+
+
 def _chunked(total: int, pieces: int) -> list[tuple[int, int]]:
     size = max(1, -(-total // pieces))
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
-def _pool_size(jobs: int, chunks: int) -> int:
-    """Workers to start: no more than asked for, than CPUs, or than chunks of work."""
-    return min(jobs, os.cpu_count() or 1, chunks)
+def _pool_size(jobs: int, items: int) -> int:
+    """Workers to start: no more than asked for, than CPUs, or than items of work."""
+    return min(jobs, os.cpu_count() or 1, items)
 
 
-def _parallel_sum(worker: Callable, prefix: tuple, total: int, jobs: int) -> int:
-    chunks = [prefix + span for span in _chunked(total, jobs * 4)]
-    workers = _pool_size(jobs, len(chunks))
+def _parallel_sum(worker: Callable, prefix: tuple, total: int, jobs: int):
+    """
+    Run ``worker`` on ``prefix + (lo, hi)`` over the ranks 0..total, in
+    four chunks per worker started, and add up the results (ints or
+    Counters).
+    """
+    workers = _pool_size(jobs, total)
     if workers <= 1:
         return worker(prefix + (0, total))
+    chunks = [prefix + span for span in _chunked(total, 4 * workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(worker, chunks))
+        return reduce(add, pool.map(worker, chunks))
 
 
 def brute_count_toppleable(n: int, p: int, oracle: str = "simulate", jobs: int = 1) -> int:
@@ -206,45 +217,42 @@ class ClassArray:
     Fiber sizes of the toppling map on S(n-1, p), classified by the record
     counts of the resultant: counts[i-1][j-1] is the number of
     configurations toppling to any one resultant with i left records in
-    the prefix and j right records in the suffix. fibers maps each
-    resultant to its exact fiber size.
+    the prefix and j right records in the suffix.
     """
 
     n: int
     p: int
     counts: tuple[tuple[int, ...], ...]
-    fibers: dict[Perm, int] | None = None
-
-    def row_range(self) -> range:
-        return range(1, self.n - self.p + 1)
-
-    def col_range(self) -> range:
-        return range(1, self.p + 1)
 
 
-def resultant_table(n: int, p: int, include_fibers: bool = False) -> ClassArray:
+def fiber_classes(fibers: Mapping[Perm, int], key: Callable[[Perm], Hashable]) -> dict:
+    """
+    The one fiber size of each class of resultants under ``key``. Raises
+    when two resultants of a class have different fiber sizes, which would
+    mean the dynamics is broken.
+    """
+    sizes: dict = {}
+    for perm, size in fibers.items():
+        cls = key(perm)
+        if sizes.setdefault(cls, size) != size:
+            raise AssertionError(f"class {cls} has unequal fibers {sizes[cls]} and {size}")
+    return sizes
+
+
+def resultant_table(n: int, p: int) -> ClassArray:
     """
     Topple every configuration in S(n-1, p) and classify the resultants
     (in S_n) by record counts. Raises if two resultants in the same class
-    have different fiber sizes, which would mean the dynamics is broken.
+    have different fiber sizes.
     """
     if not 1 <= p <= n - 1:
         raise ValueError(f"p outside 1..{n - 1}")
-    fibers: Counter[Perm] = Counter()
-    for config in enumerate_configurations(n - 1, p):
-        perm, _ = resultant(config)
-        fibers[perm] += 1
-    by_class: dict[tuple[int, int], set[int]] = {}
-    for perm, size in fibers.items():
-        by_class.setdefault(tuple(map(len, record_split(perm, p))), set()).add(size)
-    for key, sizes in by_class.items():
-        if len(sizes) != 1:
-            raise AssertionError(f"class {key} has unequal fibers {sorted(sizes)}")
+    fibers = Counter(resultant(config)[0] for config in enumerate_configurations(n - 1, p))
+    sizes = fiber_classes(fibers, lambda perm: tuple(map(len, record_split(perm, p))))
     counts = tuple(
-        tuple(by_class[(i, j)].copy().pop() for j in range(1, p + 1))
-        for i in range(1, n - p + 1)
+        tuple(sizes[i, j] for j in range(1, p + 1)) for i in range(1, n - p + 1)
     )
-    return ClassArray(n=n, p=p, counts=counts, fibers=dict(fibers) if include_fibers else None)
+    return ClassArray(n=n, p=p, counts=counts)
 
 
 def group_by_resultant(n: int, p: int) -> dict[Perm, list[Configuration]]:
@@ -281,17 +289,10 @@ def marked_class_table(
 ) -> tuple[dict[tuple[int, int, int], int], dict[Perm, int]]:
     """
     Group ``resultant_counts_marked`` by the (a, b, k) class of
-    ``marked_split``. Raises when members of one class disagree, which
-    would mean the dynamics is broken.
+    ``marked_split``. Raises when members of one class disagree.
     """
     fibers = resultant_counts_marked(n, p, r)
-    grouped: dict[tuple[int, int, int], set[int]] = {}
-    for perm, count in fibers.items():
-        grouped.setdefault(marked_split(perm, p, r), set()).add(count)
-    for key, values in grouped.items():
-        if len(values) != 1:
-            raise AssertionError(f"marked class {key} has unequal fibers {sorted(values)}")
-    return {key: values.copy().pop() for key, values in grouped.items()}, fibers
+    return fiber_classes(fibers, lambda perm: marked_split(perm, p, r)), fibers
 
 
 # ---------------------------------------------------------------------------
@@ -519,18 +520,14 @@ def _verify_kernel(report: VerifyReport) -> None:
     )
 
 
-def _verify_toppleable(report: VerifyReport, n_max: int, jobs: int) -> None:
-    computed_rows = {}
-    for n in range(1, min(n_max, CONFIG_CAP) + 1):
-        row = []
-        for p in range(1, n + 1):
-            simulated = brute_count_toppleable(n, p, "simulate", jobs=jobs)
-            window = brute_count_toppleable(n, p, "characterize", jobs=jobs)
-            formula = polybernoulli.count_toppleable_configs(n, p)
-            report.add("toppleable configurations", f"n={n} p={p}", formula, simulated)
-            report.add("window oracle agrees with simulation", f"n={n} p={p}", simulated, window)
-            row.append(formula)
-        computed_rows[n] = tuple(row)
+def _verify_toppleable(report: VerifyReport, sweep: Sweep) -> None:
+    computed_rows: dict[int, tuple[int, ...]] = {}
+    for (n, p), tally in sweep.items():
+        simulated = tally["resultant", tuple(range(1, n + 2))]
+        formula = polybernoulli.count_toppleable_configs(n, p)
+        report.add("toppleable configurations", f"n={n} p={p}", formula, simulated)
+        report.add("window oracle agrees with simulation", f"n={n} p={p}", simulated, tally["window", True])
+        computed_rows[n] = computed_rows.get(n, ()) + (formula,)
     for label, printed in PRINTED_TABLE2_ROWS.items():
         actual_n = label + 1
         if actual_n in computed_rows:
@@ -631,27 +628,23 @@ S32_FIBERS = {
 }
 
 
-def _verify_resultants(report: VerifyReport, n_max: int) -> None:
+def _verify_resultants(report: VerifyReport, n_max: int, sweep: Sweep) -> None:
     for n in range(2, min(n_max, CONFIG_CAP) + 1):
         empty_ok = True
         support_ok = True
         class_ok = True
         sum_ok = True
         for p in range(1, n):
-            support = set()
-            fibers: Counter[Perm] = Counter()
-            for config in enumerate_configurations(n, p):
-                perm, empty_site = resultant(config)
-                if empty_site != n - p + 1:
-                    empty_ok = False
-                support.add(perm)
-                fibers[perm] += 1
+            tally = sweep[n, p]
+            if tally["empty site", n - p + 1] != configuration_count(n):
+                empty_ok = False
+            fibers = _observed(tally, "resultant")
             expected = {
                 perm
                 for perm in iter_permutations(n + 1)
                 if families.is_p_resultant(perm, p)
             }
-            if support != expected:
+            if set(fibers) != expected:
                 support_ok = False
             for perm, size in fibers.items():
                 i, j = map(len, record_split(perm, p))
@@ -663,7 +656,7 @@ def _verify_resultants(report: VerifyReport, n_max: int) -> None:
         report.add("resultant support equals decomposable-prefix set", f"n={n}", True, support_ok)
         report.add("fiber sizes are B(i,j)/2", f"n={n}", True, class_ok)
         report.add("fibers sum to (n+1)!/2", f"n={n}", True, sum_ok)
-    table = resultant_table(6, 2, include_fibers=True)
+    table = resultant_table(6, 2)
     report.add(
         "fiber-class array for resultants in S_6 at p=2",
         "",
@@ -687,14 +680,10 @@ def _verify_marked(report: VerifyReport, n_max: int) -> None:
     grouped, _ = marked_class_table(6, 2, 2)
     report.add("marked fiber table for resultants in S_6, p=r=2", "", N6_P2_R2_TABLE, grouped)
     for r in (3, 4):
-        fibers = resultant_counts_marked(6, 3, r)
-        matrix: dict[tuple[int, int], set[int]] = {}
-        for perm, count in fibers.items():
-            matrix.setdefault(tuple(map(len, record_split(perm, 3))), set()).add(count)
-        built = tuple(
-            tuple(matrix[(i, j)].copy().pop() if len(matrix[(i, j)]) == 1 else -1 for j in (1, 2, 3))
-            for i in (1, 2, 3)
+        sizes = fiber_classes(
+            resultant_counts_marked(6, 3, r), lambda perm: tuple(map(len, record_split(perm, 3)))
         )
+        built = tuple(tuple(sizes[i, j] for j in (1, 2, 3)) for i in (1, 2, 3))
         report.add("marked fiber table for resultants in S_6, p=3", f"r={r}", N6_P3_TABLE, built)
     for n in range(2, min(n_max, 6) + 1):
         ok_formula = ok_keys = ok_sum = True
@@ -719,7 +708,7 @@ def _verify_marked(report: VerifyReport, n_max: int) -> None:
         report.add("marked fibers sum to (n-1)!", f"n={n}", True, ok_sum)
 
 
-def _verify_engine(report: VerifyReport, n_max: int, seeds: int) -> None:
+def _verify_engine(report: VerifyReport, n_max: int, seeds: int, sweep: Sweep) -> None:
     determinism_ok = True
     try:
         for n in range(1, min(n_max, 5) + 1):
@@ -732,22 +721,16 @@ def _verify_engine(report: VerifyReport, n_max: int, seeds: int) -> None:
     passes_ok = True
     arms_ok = True
     first_pass_counts = set()
-    for n in range(1, min(n_max, 6) + 1):
-        for p in range(1, n + 1):
-            for config in enumerate_configurations(n, p):
-                final, trace = stabilize_passes(config)
-                mirrored, _ = resultant(reverse_complement(config))
-                if mirrored != reverse_complement_perm(final.permutation()):
-                    sym_ok = False
-                if len(trace.passes) != min(p, n - p + 1):
-                    passes_ok = False
-                occupancy = [c for c in final.occupancy]
-                for depth, snap in enumerate(trace.passes, start=1):
-                    if list(snap.left_arm) != occupancy[: len(snap.left_arm)]:
-                        arms_ok = False
-                    if list(snap.right_arm) != occupancy[len(occupancy) - len(snap.right_arm) :]:
-                        arms_ok = False
-                first_pass_counts.add(trace.passes[0].topples - n)
+    for (n, p), tally in sweep.items():
+        if n > ENGINE_N:
+            continue
+        if tally["mirror commutes", False]:
+            sym_ok = False
+        if tally["passes", min(p, n - p + 1)] != configuration_count(n):
+            passes_ok = False
+        if tally["arms frozen", False]:
+            arms_ok = False
+        first_pass_counts.update(_observed(tally, "first pass"))
     report.add("reverse-complement commutes with the resultant", f"n<=min({n_max},6)", True, sym_ok)
     report.add("pass count is min(p, n-p+1)", f"n<=min({n_max},6)", True, passes_ok)
     report.add("arms are frozen prefixes/suffixes of the final state", f"n<=min({n_max},6)", True, arms_ok)
@@ -961,14 +944,21 @@ def verify_identities(n_max: int = 7, jobs: int = 1, seeds: int = 5) -> VerifyRe
     only on unexplained mismatches; known printed-table glitches are
     emitted as documented discrepancies.
     """
+    # one toppling per configuration, read by the toppleable, resultants
+    # and engine sections
+    sweep: Sweep = {
+        (n, p): _parallel_sum(_sweep_chunk, (n, p), configuration_count(n), jobs)
+        for n in range(1, min(n_max, CONFIG_CAP) + 1)
+        for p in range(1, n + 1)
+    }
     report = VerifyReport(n_max=n_max)
     _verify_kernel(report)
-    _verify_toppleable(report, n_max, jobs)
+    _verify_toppleable(report, sweep)
     _verify_rp_toppleable(report, n_max, jobs)
     _verify_all_r(report, n_max, jobs)
-    _verify_resultants(report, n_max)
+    _verify_resultants(report, n_max, sweep)
     _verify_marked(report, n_max)
-    _verify_engine(report, n_max, seeds)
+    _verify_engine(report, n_max, seeds, sweep)
     _verify_correspondences(report, n_max)
     _verify_families(report)
     _verify_bijections(report)

@@ -17,23 +17,54 @@ from .families import validate_r_placement
 
 METHODS = ("closed", "inclusion_exclusion", "recurrence")
 
+# Tables kept as columns and filled without recursion. Entry t of column c
+# depends only on the entries before it in column c and on entries 0..t of
+# column c-1, so a column is never longer than the one before it.
+_STIRLING: list[list[int]] = []  # _STIRLING[m][t] = S(m+t, m), from the diagonal down
+_B_RECURRENCE: list[list[int]] = []  # _B_RECURRENCE[k][n] = B(n, k)
+_C_RECURRENCE: list[list[int]] = []  # _C_RECURRENCE[k][n] = C(n, k)
+
+
+def _extend(columns: list[list[int]], last: int, depth: int, entry: Callable[[int, int], int]) -> None:
+    """
+    Grow columns 0..last to ``depth`` entries each, entry(c, t) giving
+    entry t of column c. Only the columns that are too short are touched.
+    """
+    short = last
+    while short >= 0 and (short >= len(columns) or len(columns[short]) < depth):
+        short -= 1
+    for c in range(short + 1, last + 1):
+        if c == len(columns):
+            columns.append([])
+        column = columns[c]
+        for t in range(len(column), depth):
+            column.append(entry(c, t))
+
+
+def _stirling_entry(m: int, t: int) -> int:
+    if t == 0:
+        return 1
+    left = _STIRLING[m - 1][t] if m else 0
+    return m * _STIRLING[m][t - 1] + left
+
 
 @cache
 def stirling2(n: int, m: int) -> int:
     """
     Stirling number of the second kind: set partitions of n elements into
-    m non-empty parts. S(0,0) = 1 and S(n,m) = 0 for m > n.
+    m non-empty parts. S(0,0) = 1 and S(n,m) = 0 for m > n. Computed column
+    by column from S(n,m) = m S(n-1,m) + S(n-1,m-1), for the columns up to
+    m only.
 
     >>> [stirling2(4, m) for m in range(5)]
     [0, 1, 7, 6, 1]
     """
     if n < 0 or m < 0:
         raise ValueError("negative index")
-    if n == 0 and m == 0:
-        return 1
-    if n == 0 or m == 0 or m > n:
+    if m > n:
         return 0
-    return m * stirling2(n - 1, m) + stirling2(n - 1, m - 1)
+    _extend(_STIRLING, m, n - m + 1, _stirling_entry)
+    return _STIRLING[m][n - m]
 
 
 @cache
@@ -52,13 +83,16 @@ def _b_inclusion_exclusion(n: int, k: int) -> int:
     )
 
 
-@cache
-def _b_recurrence(n: int, k: int) -> int:
+def _b_recurrence_entry(k: int, n: int) -> int:
     if k == 0 or n == 0:
         return 1
-    return _b_recurrence(n, k - 1) + sum(
-        comb(n, m) * _b_recurrence(n - (m - 1), k - 1) for m in range(1, n + 1)
-    )
+    previous = _B_RECURRENCE[k - 1]
+    return previous[n] + sum(comb(n, m) * previous[n - m + 1] for m in range(1, n + 1))
+
+
+def _b_recurrence(n: int, k: int) -> int:
+    _extend(_B_RECURRENCE, k, n + 1, _b_recurrence_entry)
+    return _B_RECURRENCE[k][n]
 
 
 @cache
@@ -79,13 +113,18 @@ def _c_inclusion_exclusion(n: int, k: int) -> int:
     )
 
 
-@cache
-def _c_recurrence(n: int, k: int) -> int:
+def _c_recurrence_entry(k: int, n: int) -> int:
     if k == 0:
         return 1
     if n == 0:
         return 0
-    return sum(comb(n, m) * _c_recurrence(n - m + 1, k - 1) for m in range(1, n + 1))
+    previous = _C_RECURRENCE[k - 1]
+    return sum(comb(n, m) * previous[n - m + 1] for m in range(1, n + 1))
+
+
+def _c_recurrence(n: int, k: int) -> int:
+    _extend(_C_RECURRENCE, k, n + 1, _c_recurrence_entry)
+    return _C_RECURRENCE[k][n]
 
 
 _B_METHODS: dict[str, Callable[[int, int], int]] = {

@@ -142,6 +142,48 @@ class TestCount:
         ]
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("count", "ao", "--n", "-1", "--k", "2"), "part sizes must be at least 0"),
+            (
+                ("count", "family", "--family", "vesztergombi", "--k", "-1", "--n", "2"),
+                "vesztergombi sizes must be at least 0",
+            ),
+            (
+                ("count", "family", "--family", "window_c", "--n", "-2", "--k", "3", "--list"),
+                "window_c sizes must be at least 0",
+            ),
+            (
+                ("count", "family", "--family", "callan", "-u", "0", "-o", "3"),
+                "need at least one underlined and one overlined value",
+            ),
+            (
+                ("biject", "vesz-to-callan", "--perm", "12", "-u", "0", "-o", "2"),
+                "need at least one underlined and one overlined value",
+            ),
+        ],
+        ids=["ao", "vesztergombi", "window_c-list", "callan", "vesz-to-callan"],
+    )
+    def test_bad_sizes_are_one_line_errors(self, runner, args, message):
+        result = run(runner, *args)
+        assert result.exit_code == 1
+        assert result.output == f"Error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "args,value",
+        [
+            # B(1200,3) = B(3,1200), by inclusion-exclusion over the side of size 3
+            (("--n", "1200", "--k", "3"), 2**1200 - 6 * 3**1200 + 6 * 4**1200),
+            (("--n", "1", "--k", "1500", "--method", "recurrence"), 2**1500),
+        ],
+        ids=["closed", "recurrence"],
+    )
+    def test_large_indices_need_no_recursion(self, runner, args, value):
+        result = run(runner, "polybernoulli", "B", *args)
+        assert result.exit_code == 0
+        assert result.output == f"{value}\n"
+
 
 class TestTables:
     def test_1a_text(self, runner):

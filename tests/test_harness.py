@@ -4,8 +4,6 @@ from itertools import permutations
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from chiptopple import harness
 from chiptopple.core import Configuration
@@ -19,34 +17,19 @@ from chiptopple.harness import (
     brute_count_toppleable,
     configuration_count,
     enumerate_configurations,
+    fiber_classes,
+    group_by_resultant,
     iter_permutations,
     marked_class_table,
-    rank_permutation,
     resultant_counts_marked,
     resultant_table,
     schedule_independence,
-    unrank_permutation,
     verify_identities,
 )
 from conftest import oracle_configurations
 
 
 class TestRanking:
-    def test_unrank_first_and_last(self):
-        assert unrank_permutation((1, 2, 3), 0) == (1, 2, 3)
-        assert unrank_permutation((1, 2, 3), 5) == (3, 2, 1)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            unrank_permutation((1, 2), 2)
-
-    @given(st.integers(1, 6), st.data())
-    @settings(max_examples=60)
-    def test_roundtrip(self, n, data):
-        rank = data.draw(st.integers(0, factorial(n) - 1))
-        perm = unrank_permutation(tuple(range(1, n + 1)), rank)
-        assert rank_permutation(perm) == rank
-
     def test_iteration_matches_itertools(self):
         assert list(iter_permutations(4)) == [
             tuple(p) for p in permutations(range(1, 5))
@@ -123,6 +106,46 @@ class TestBruteCounts:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
         assert harness._pool_size(10**6, 40) == 1
 
+    def test_chunks_follow_the_workers(self, monkeypatch):
+        # a huge --jobs on two CPUs cuts four chunks per worker started,
+        # not per job asked for; the fake pool runs them in process
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                self.tasks = []
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                self.tasks.extend(tasks)
+                return map(fn, self.tasks)
+
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        total = harness._parallel_sum(lambda args: args[2] - args[1], ("tag",), 100, 2000)
+        assert total == 100
+        [pool] = pools
+        assert pool.max_workers == 2
+        assert len(pool.tasks) == 8
+        assert [task[1:] for task in pool.tasks] == harness._chunked(100, 8)
+        assert all(task[0] == "tag" for task in pool.tasks)
+
+    @pytest.mark.parametrize("n,p", [(3, 2), (4, 1), (5, 3)])
+    def test_sweep_merges_like_one_chunk(self, monkeypatch, n, p):
+        # two CPUs, so jobs=2 merges the chunks of a two-worker pool
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        serial = harness._parallel_sum(harness._sweep_chunk, (n, p), configuration_count(n), 1)
+        merged = harness._parallel_sum(harness._sweep_chunk, (n, p), configuration_count(n), 2)
+        assert merged == serial
+        assert sum(harness._observed(merged, "resultant").values()) == configuration_count(n)
+
     def test_T_examples(self):
         assert brute_T(5, 2, 3) == 22
         # row p=3 of the n=4 table reads (8, 7, 7, 10, 14); r=5 is its last entry
@@ -143,11 +166,11 @@ class TestResultantTable:
         assert table.counts == ((1, 2), (2, 7), (4, 23), (8, 73))
 
     def test_s4_p2_with_fibers(self):
-        table = resultant_table(4, 2, include_fibers=True)
-        assert table.counts == ((1, 2), (2, 7))
-        assert table.fibers[(1, 2, 3, 4)] == 7
-        assert table.fibers[(2, 1, 4, 3)] == 1
-        assert sum(table.fibers.values()) == configuration_count(3)
+        assert resultant_table(4, 2).counts == ((1, 2), (2, 7))
+        fibers = group_by_resultant(3, 2)
+        assert len(fibers[(1, 2, 3, 4)]) == 7
+        assert len(fibers[(2, 1, 4, 3)]) == 1
+        assert sum(map(len, fibers.values())) == configuration_count(3)
 
     def test_trivial(self):
         assert resultant_table(2, 1).counts == ((1,),)
@@ -155,6 +178,11 @@ class TestResultantTable:
     def test_p_range(self):
         with pytest.raises(ValueError):
             resultant_table(4, 4)
+
+    def test_class_with_two_fiber_sizes_raises(self):
+        assert fiber_classes({(1, 2): 3, (2, 1): 3, (1,): 1}, len) == {2: 3, 1: 1}
+        with pytest.raises(AssertionError, match="unequal fibers 3 and 4"):
+            fiber_classes({(1, 2): 3, (2, 1): 4}, len)
 
 
 class TestMarkedCounts:

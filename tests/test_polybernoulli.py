@@ -125,6 +125,14 @@ class TestTables:
             for k in range(1, 11):
                 assert b_number(n, k) % 2 == 0
 
+    @given(st.integers(0, 4), st.integers(2000, 2500))
+    @settings(max_examples=20, deadline=None)
+    def test_methods_agree_past_the_recursion_limit(self, small, big):
+        assert len({poly_bernoulli_B(small, big, method) for method in METHODS}) == 1
+        assert poly_bernoulli_C(big, small, "closed") == poly_bernoulli_C(
+            big, small, "inclusion_exclusion"
+        )
+
     def test_errors(self):
         with pytest.raises(ValueError):
             poly_bernoulli_B(-1, 0)
