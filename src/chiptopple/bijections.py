@@ -17,7 +17,7 @@ the remaining freedom.
 """
 from __future__ import annotations
 
-from .core import Configuration, Perm, record_split, records
+from .core import Configuration, Perm, record_class, record_split, records
 from .families import CALLAN_SIZES, CallanWord, is_p_resultant, is_vesztergombi
 
 
@@ -153,13 +153,9 @@ def phi(config: Configuration, perm: Perm, verify: bool = False) -> Configuratio
 
 def _infer_p(perm: Perm, i: int, j: int) -> int:
     n = len(perm) - 1
-    matches = []
-    for p in range(1, n + 1):
-        if not is_p_resultant(perm, p):
-            continue
-        lrec, rrec = record_split(perm, p)
-        if len(lrec) == i and len(rrec) == j:
-            matches.append(p)
+    matches = [
+        p for p in range(1, n + 1) if is_p_resultant(perm, p) and record_class(perm, p) == (i, j)
+    ]
     if len(matches) != 1:
         raise ValueError(
             f"cannot infer the doubled site for {perm} with record counts ({i}, {j}); "

@@ -19,22 +19,24 @@ from .core import (
     format_permutation,
     parse_configuration,
     parse_permutation,
-    record_split,
+    record_class,
 )
 from .families import CallanWord, CapExceeded
 
 _POSITIVE = click.IntRange(min=1)
 
 
-def _fail_on_value_error(fn, *args, **kwargs):
-    """Run fn and turn a domain error (bad input or an enumeration cap) into one Error: line."""
-    try:
-        return fn(*args, **kwargs)
-    except (ValueError, CapExceeded) as exc:
-        raise click.ClickException(str(exc)) from exc
+class _Cli(click.Group):
+    """The one error boundary: a domain error from any subcommand becomes one Error: line."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, CapExceeded) as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
-@click.group()
+@click.group(cls=_Cli)
 @click.version_option(version="0.1.0", prog_name="chiptopple")
 def cli() -> None:
     """Chip toppling on a path with a doubled site: dynamics, counting, tables."""
@@ -51,7 +53,7 @@ def cli() -> None:
 @click.option("--trace", is_flag=True, help="Print the pass trace as JSON (pass schedule only).")
 def topple(literal: str, use_random: bool, seed: int | None, trace: bool) -> None:
     """Stabilize a configuration and print the resultant permutation."""
-    config = _fail_on_value_error(parse_configuration, literal)
+    config = parse_configuration(literal)
     if use_random or seed is not None:
         if trace:
             raise click.UsageError("--trace needs the pass schedule; drop --random and --seed")
@@ -77,7 +79,7 @@ def check() -> None:
 @click.option("--config", "literal", required=True, help="Configuration literal.")
 def check_config(literal: str) -> None:
     """Does the configuration topple to the sorted arrangement?"""
-    config = _fail_on_value_error(parse_configuration, literal)
+    config = parse_configuration(literal)
     click.echo("true" if characterize.is_p_toppleable(config) else "false")
 
 
@@ -87,8 +89,8 @@ def check_config(literal: str) -> None:
 @click.option("--p", "p", type=int, required=True)
 def check_rp(perm: str, r: int, p: int) -> None:
     """Is the permutation toppleable with chip r added at site p?"""
-    pi = _fail_on_value_error(parse_permutation, perm)
-    click.echo("true" if _fail_on_value_error(characterize.is_rp_toppleable, pi, r, p) else "false")
+    pi = parse_permutation(perm)
+    click.echo("true" if characterize.is_rp_toppleable(pi, r, p) else "false")
 
 
 @check.command("all-r")
@@ -96,8 +98,8 @@ def check_rp(perm: str, r: int, p: int) -> None:
 @click.option("--p", "p", type=int, required=True)
 def check_all_r(perm: str, p: int) -> None:
     """Is the permutation toppleable for every added chip at site p?"""
-    pi = _fail_on_value_error(parse_permutation, perm)
-    click.echo("true" if _fail_on_value_error(characterize.is_all_r_toppleable, pi, p) else "false")
+    pi = parse_permutation(perm)
+    click.echo("true" if characterize.is_all_r_toppleable(pi, p) else "false")
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +124,9 @@ def count() -> None:
 def count_toppleable(n: int, p: int, method: str, jobs: int) -> None:
     """Configurations in S(n,p) toppling to the sorted arrangement."""
     if method == "formula":
-        value = _fail_on_value_error(polybernoulli.count_toppleable_configs, n, p)
+        value = polybernoulli.count_toppleable_configs(n, p)
     else:
-        value = _fail_on_value_error(harness.brute_count_toppleable, n, p, method, jobs)
+        value = harness.brute_count_toppleable(n, p, method, jobs)
     click.echo(str(value))
 
 
@@ -142,9 +144,9 @@ def count_toppleable(n: int, p: int, method: str, jobs: int) -> None:
 def count_rp(n: int, p: int, r: int, method: str, jobs: int) -> None:
     """Permutations of 1..n toppleable with chip r at site p."""
     if method == "brute":
-        value = _fail_on_value_error(harness.brute_T, n, p, r, jobs)
+        value = harness.brute_T(n, p, r, jobs)
     else:
-        value = _fail_on_value_error(polybernoulli.count_rp_toppleable, n, p, r, method)
+        value = polybernoulli.count_rp_toppleable(n, p, r, method)
     click.echo(str(value))
 
 
@@ -158,9 +160,9 @@ def count_rp(n: int, p: int, r: int, method: str, jobs: int) -> None:
 def count_all_r(n: int, p: int, method: str, jobs: int) -> None:
     """Permutations of 1..n toppleable for every added chip at site p."""
     if method == "brute":
-        value = _fail_on_value_error(harness.brute_all_r_toppleable, n, p, jobs)
+        value = harness.brute_all_r_toppleable(n, p, jobs)
     else:
-        value = _fail_on_value_error(polybernoulli.count_all_r_toppleable, n, p)
+        value = polybernoulli.count_all_r_toppleable(n, p)
     click.echo(str(value))
 
 
@@ -169,7 +171,7 @@ def count_all_r(n: int, p: int, method: str, jobs: int) -> None:
 @click.option("--j", "j", type=int, required=True, help="Right-record count of the suffix.")
 def count_class(i: int, j: int) -> None:
     """Configurations toppling to any one resultant of record class (i,j)."""
-    click.echo(str(_fail_on_value_error(polybernoulli.count_resultant_class, i, j)))
+    click.echo(str(polybernoulli.count_resultant_class(i, j)))
 
 
 @count.command("npi")
@@ -178,8 +180,8 @@ def count_class(i: int, j: int) -> None:
 @click.option("--p", type=int, required=True)
 def count_npi(perm: str, r: int, p: int) -> None:
     """Permutations toppling to the given resultant with chip r at site p."""
-    pi = _fail_on_value_error(parse_permutation, perm)
-    click.echo(str(_fail_on_value_error(polybernoulli.count_N_pi, pi, r, p)))
+    pi = parse_permutation(perm)
+    click.echo(str(polybernoulli.count_N_pi(pi, r, p)))
 
 
 @count.command("family")
@@ -211,14 +213,11 @@ def count_family_cmd(
             raise click.UsageError(f"--{name} is required for family {family}")
         params[name] = supplied[name]
 
-    def emit() -> None:
-        if list_members:
-            for member in families.enumerate_family(family, **params):
-                click.echo(format_permutation(member))
-        else:
-            click.echo(str(families.count_family(family, **params)))
-
-    _fail_on_value_error(emit)
+    if list_members:
+        for member in families.enumerate_family(family, **params):
+            click.echo(format_permutation(member))
+    else:
+        click.echo(str(families.count_family(family, **params)))
 
 
 @count.command("ao")
@@ -232,7 +231,7 @@ def count_family_cmd(
 )
 def count_ao(n: int, k: int, mode: str) -> None:
     """Acyclic orientations of the complete bipartite graph, brute force."""
-    click.echo(str(_fail_on_value_error(families.count_acyclic_orientations, n, k, mode)))
+    click.echo(str(families.count_acyclic_orientations(n, k, mode)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +298,9 @@ def tables(which: str, n: int | None, p: int | None, r: int | None, fmt: str, jo
     if which == "resultant-fibers":
         if n is None or p is None:
             raise click.UsageError("resultant-fibers needs --n (resultant size) and --p")
-        grouped = _fail_on_value_error(harness.group_by_resultant, n - 1, p)
+        grouped = harness.group_by_resultant(n - 1, p)
         harness.fiber_classes(
-            {perm: len(members) for perm, members in grouped.items()},
-            lambda perm: tuple(map(len, record_split(perm, p))),
+            {perm: len(members) for perm, members in grouped.items()}, lambda perm: record_class(perm, p)
         )
         rows = [
             [
@@ -317,7 +315,7 @@ def tables(which: str, n: int | None, p: int | None, r: int | None, fmt: str, jo
     if which == "T-array":
         if n is None or p is None:
             raise click.UsageError("T-array needs --n (resultant size) and --p")
-        table = _fail_on_value_error(harness.resultant_table, n, p)
+        table = harness.resultant_table(n, p)
         header = ["i\\j"] + [str(j) for j in range(1, p + 1)]
         rows = [[i] + list(row) for i, row in enumerate(table.counts, start=1)]
         _emit_table(header, rows, fmt)
@@ -335,7 +333,7 @@ def tables(which: str, n: int | None, p: int | None, r: int | None, fmt: str, jo
     if which == "Npi":
         if n is None or p is None or r is None:
             raise click.UsageError("Npi needs --n (resultant size), --p and --r")
-        fibers = _fail_on_value_error(harness.resultant_counts_marked, n, p, r)
+        fibers = harness.resultant_counts_marked(n, p, r)
         rows = [
             [
                 format_permutation(perm[: n - p]),
@@ -363,8 +361,8 @@ def biject() -> None:
 @click.option("--underlined", "-u", type=int, required=True)
 @click.option("--overlined", "-o", type=int, required=True)
 def biject_callan(word: str, underlined: int, overlined: int) -> None:
-    values = _fail_on_value_error(parse_permutation, word)
-    cw = _fail_on_value_error(CallanWord, values=values, underlined=underlined, overlined=overlined)
+    values = parse_permutation(word)
+    cw = CallanWord(values=values, underlined=underlined, overlined=overlined)
     click.echo(format_permutation(bijections.callan_to_vesztergombi(cw)))
 
 
@@ -373,8 +371,8 @@ def biject_callan(word: str, underlined: int, overlined: int) -> None:
 @click.option("--underlined", "-u", type=int, required=True)
 @click.option("--overlined", "-o", type=int, required=True)
 def biject_vesz(perm: str, underlined: int, overlined: int) -> None:
-    sigma = _fail_on_value_error(parse_permutation, perm)
-    word = _fail_on_value_error(bijections.vesztergombi_to_callan, sigma, underlined, overlined)
+    sigma = parse_permutation(perm)
+    word = bijections.vesztergombi_to_callan(sigma, underlined, overlined)
     click.echo(format_permutation(word.values))
 
 
@@ -382,12 +380,12 @@ def biject_vesz(perm: str, underlined: int, overlined: int) -> None:
 @click.option("--config", "literal", required=True, help="Configuration literal.")
 @click.option("--perm", default=None, help="Resultant; computed when omitted.")
 def biject_phi(literal: str, perm: str | None) -> None:
-    config = _fail_on_value_error(parse_configuration, literal)
+    config = parse_configuration(literal)
     if perm is None:
         pi, _ = engine.resultant(config)
     else:
-        pi = _fail_on_value_error(parse_permutation, perm)
-    reduced = _fail_on_value_error(bijections.phi, config, pi, True)
+        pi = parse_permutation(perm)
+    reduced = bijections.phi(config, pi, True)
     click.echo(format_configuration(reduced))
 
 
@@ -396,9 +394,9 @@ def biject_phi(literal: str, perm: str | None) -> None:
 @click.option("--perm", required=True, help="Target resultant literal.")
 @click.option("--p", type=int, default=None, help="Doubled site; inferred when omitted.")
 def biject_phi_inverse(literal: str, perm: str, p: int | None) -> None:
-    reduced = _fail_on_value_error(parse_configuration, literal)
-    pi = _fail_on_value_error(parse_permutation, perm)
-    config = _fail_on_value_error(bijections.phi_inverse, reduced, pi, p)
+    reduced = parse_configuration(literal)
+    pi = parse_permutation(perm)
+    config = bijections.phi_inverse(reduced, pi, p)
     click.echo(format_configuration(config))
 
 
@@ -434,7 +432,7 @@ def verify(n_max: int, jobs: int, seeds: int, fmt: str) -> None:
 def polybernoulli_cmd(kind: str, n: int, k: int, method: str) -> None:
     """One poly-Bernoulli number, exact."""
     fn = polybernoulli.poly_bernoulli_B if kind == "B" else polybernoulli.poly_bernoulli_C
-    click.echo(str(_fail_on_value_error(fn, n, k, method)))
+    click.echo(str(fn(n, k, method)))
 
 
 def main() -> None:

@@ -122,14 +122,24 @@ def split_at(perm: Perm, p: int) -> tuple[Perm, Perm] | None:
 def record_split(perm: Perm, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     Left-record values of the first n-p entries and right-record values
-    of the last p entries. Their lengths (i, j) are the record class of a
-    resultant.
+    of the last p entries; their lengths are the ``record_class``.
 
     >>> record_split((2, 1, 3, 5, 4), 2)
     ((2, 3), (4,))
     """
     cut = len(perm) - p
     return left_record_values(perm[:cut]), right_record_values(perm[cut:])
+
+
+def record_class(perm: Perm, p: int) -> tuple[int, int]:
+    """
+    The record class (i, j) of a resultant: the lengths of ``record_split``.
+
+    >>> record_class((2, 1, 3, 5, 4), 2)
+    (2, 1)
+    """
+    lrec, rrec = record_split(perm, p)
+    return len(lrec), len(rrec)
 
 
 def marked_split(perm: Perm, p: int, r: int) -> tuple[int, int, int]:

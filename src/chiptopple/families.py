@@ -162,12 +162,12 @@ def validate_r_placement(perm: Perm, p: int, r: int) -> bool:
     return r in right_record_values(perm[cut:])
 
 
-def _check_cap(m: int, cap: int) -> None:
-    if m > cap:
-        raise CapExceeded(f"would enumerate {m}! permutations; cap is {cap}!")
+def _check_cap(m: int) -> None:
+    if m > DEFAULT_PERM_CAP:
+        raise CapExceeded(f"would enumerate {m}! permutations; cap is {DEFAULT_PERM_CAP}!")
 
 
-def enumerate_family(family: str, cap: int = DEFAULT_PERM_CAP, **params: int) -> Iterator[Perm]:
+def enumerate_family(family: str, **params: int) -> Iterator[Perm]:
     """
     Stream the members of a recognizable family, each exactly once.
 
@@ -190,14 +190,14 @@ def enumerate_family(family: str, cap: int = DEFAULT_PERM_CAP, **params: int) ->
     if min(args[:2]) < 0:
         raise ValueError(f"{family} sizes must be at least 0")
     size = args[0] + args[1]
-    _check_cap(size, cap)
+    _check_cap(size)
     for values in permutations(range(1, size + 1)):
         if recognize(values, *args):
             yield values
 
 
-def count_family(family: str, cap: int = DEFAULT_PERM_CAP, **params: int) -> int:
-    return sum(1 for _ in enumerate_family(family, cap=cap, **params))
+def count_family(family: str, **params: int) -> int:
+    return sum(1 for _ in enumerate_family(family, **params))
 
 
 def count_families(size: int) -> Counter[tuple[str, int, int]]:
@@ -206,7 +206,7 @@ def count_families(size: int) -> Counter[tuple[str, int, int]]:
     over S_size: key (family, x, y) with x + y = size, the parameters in
     the order of ``FAMILIES``.
     """
-    _check_cap(size, DEFAULT_PERM_CAP)
+    _check_cap(size)
     splits = [(x, size - x) for x in range(1, size)]
     recognizers = [(name, fn) for name, (names, fn) in FAMILIES.items() if len(names) == 2]
     counts: Counter[tuple[str, int, int]] = Counter()

@@ -17,7 +17,7 @@ import json
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations, islice, permutations
 from math import comb, factorial
 from operator import add
@@ -33,7 +33,7 @@ from .core import (
     lift,
     map_w,
     marked_split,
-    record_split,
+    record_class,
     records,
     reverse_complement,
     reverse_complement_perm,
@@ -63,15 +63,15 @@ def configuration_count(n: int) -> int:
 
 
 def enumerate_configurations(
-    n: int, p: int, lo: int = 0, hi: int | None = None, cap: int = CONFIG_CAP
+    n: int, p: int, lo: int = 0, hi: int | None = None
 ) -> Iterator[Configuration]:
     """
     Stream the configurations of n+1 chips with the pair at site p, each
     exactly once: (n+1 choose 2) pair choices times (n-1)! arrangements,
     ordered by (pair, arrangement) rank. ``lo``/``hi`` select a rank range.
     """
-    if n > cap:
-        raise CapExceeded(f"n = {n} exceeds the configuration cap {cap}")
+    if n > CONFIG_CAP:
+        raise CapExceeded(f"n = {n} exceeds the configuration cap {CONFIG_CAP}")
     if not 1 <= p <= n:
         raise ValueError(f"p outside 1..{n}")
     chips = tuple(range(1, n + 2))
@@ -98,31 +98,15 @@ def enumerate_configurations(
 # process pool can pickle them)
 # ---------------------------------------------------------------------------
 
-def _toppleable_chunk(args: tuple[int, int, str, int, int]) -> int:
-    n, p, oracle, lo, hi = args
-    count = 0
-    if oracle == "simulate":
-        for config in enumerate_configurations(n, p, lo, hi):
-            final, _ = stabilize_passes(config)
-            if final.is_sorted():
-                count += 1
-    elif oracle == "characterize":
-        for config in enumerate_configurations(n, p, lo, hi):
-            if characterize.is_p_toppleable(config):
-                count += 1
-    else:
-        raise ValueError(f"unknown oracle {oracle!r}")
-    return count
+def _count_chunk(args: tuple[Callable, Callable, tuple, int, int]) -> int:
+    """Count the items of ``enumerator(*sizes, lo, hi)`` that ``test`` accepts."""
+    enumerator, test, sizes, lo, hi = args
+    return sum(map(test, enumerator(*sizes, lo, hi)))
 
 
-def _rp_chunk(args: tuple[int, int, int, int, int]) -> int:
-    n, p, r, lo, hi = args
-    return sum(1 for perm in iter_permutations(n, lo, hi) if characterize.is_rp_toppleable(perm, r, p))
-
-
-def _all_r_chunk(args: tuple[int, int, int, int]) -> int:
-    n, p, lo, hi = args
-    return sum(1 for perm in iter_permutations(n, lo, hi) if characterize.is_all_r_toppleable(perm, p))
+def _sorts(config: Configuration) -> bool:
+    """Does config topple to the sorted arrangement? (the simulating oracle)"""
+    return stabilize_passes(config)[0].is_sorted()
 
 
 def _sweep_chunk(args: tuple[int, int, int, int]) -> Counter:
@@ -190,21 +174,32 @@ def _parallel_sum(worker: Callable, prefix: tuple, total: int, jobs: int):
 
 def brute_count_toppleable(n: int, p: int, oracle: str = "simulate", jobs: int = 1) -> int:
     """Count configurations toppling to the sorted state, by enumeration."""
-    return _parallel_sum(_toppleable_chunk, (n, p, oracle), configuration_count(n), jobs)
+    tests = {"simulate": _sorts, "characterize": characterize.is_p_toppleable}
+    if oracle not in tests:
+        raise ValueError(f"unknown oracle {oracle!r}")
+    next(enumerate_configurations(n, p, 0, 0), None)  # bad sizes raise here, before any pool starts
+    return _parallel_sum(
+        _count_chunk, (enumerate_configurations, tests[oracle], (n, p)), configuration_count(n), jobs
+    )
 
 
-def brute_T(n: int, p: int, r: int, jobs: int = 1, cap: int = PERM_CAP) -> int:
+def _brute_count_permutations(n: int, test: Callable[[Perm], bool], jobs: int) -> int:
+    if n < 0:
+        raise ValueError("n must be at least 0")
+    if n > PERM_CAP:
+        raise CapExceeded(f"n = {n} exceeds the permutation cap {PERM_CAP}")
+    test(tuple(range(1, n + 1)))  # a bad site or chip raises here, before any pool starts
+    return _parallel_sum(_count_chunk, (iter_permutations, test, (n,)), factorial(n), jobs)
+
+
+def brute_T(n: int, p: int, r: int, jobs: int = 1) -> int:
     """Count permutations of 1..n that topple to the identity with chip r at p."""
-    if n > cap:
-        raise CapExceeded(f"n = {n} exceeds the permutation cap {cap}")
-    return _parallel_sum(_rp_chunk, (n, p, r), factorial(n), jobs)
+    return _brute_count_permutations(n, partial(characterize.is_rp_toppleable, r=r, p=p), jobs)
 
 
-def brute_all_r_toppleable(n: int, p: int, jobs: int = 1, cap: int = PERM_CAP) -> int:
+def brute_all_r_toppleable(n: int, p: int, jobs: int = 1) -> int:
     """Count permutations toppleable for every choice of the extra chip."""
-    if n > cap:
-        raise CapExceeded(f"n = {n} exceeds the permutation cap {cap}")
-    return _parallel_sum(_all_r_chunk, (n, p), factorial(n), jobs)
+    return _brute_count_permutations(n, partial(characterize.is_all_r_toppleable, p=p), jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +243,7 @@ def resultant_table(n: int, p: int) -> ClassArray:
     if not 1 <= p <= n - 1:
         raise ValueError(f"p outside 1..{n - 1}")
     fibers = Counter(resultant(config)[0] for config in enumerate_configurations(n - 1, p))
-    sizes = fiber_classes(fibers, lambda perm: tuple(map(len, record_split(perm, p))))
+    sizes = fiber_classes(fibers, lambda perm: record_class(perm, p))
     counts = tuple(
         tuple(sizes[i, j] for j in range(1, p + 1)) for i in range(1, n - p + 1)
     )
@@ -276,6 +271,8 @@ def resultant_counts_marked(n: int, p: int, r: int) -> dict[Perm, int]:
     """
     if not 1 <= p <= n - 1 or not 1 <= r <= n:
         raise ValueError(f"(p, r) = ({p}, {r}) out of range for resultants in S_{n}")
+    if n - 1 > PERM_CAP:
+        raise CapExceeded(f"n - 1 = {n - 1} exceeds the permutation cap {PERM_CAP}")
     out: Counter[Perm] = Counter()
     for perm in iter_permutations(n - 1):
         config = lift(perm, r, p).config
@@ -647,8 +644,7 @@ def _verify_resultants(report: VerifyReport, n_max: int, sweep: Sweep) -> None:
             if set(fibers) != expected:
                 support_ok = False
             for perm, size in fibers.items():
-                i, j = map(len, record_split(perm, p))
-                if size != polybernoulli.count_resultant_class(i, j):
+                if size != polybernoulli.count_resultant_class(*record_class(perm, p)):
                     class_ok = False
             if sum(fibers.values()) != configuration_count(n):
                 sum_ok = False
@@ -680,9 +676,7 @@ def _verify_marked(report: VerifyReport, n_max: int) -> None:
     grouped, _ = marked_class_table(6, 2, 2)
     report.add("marked fiber table for resultants in S_6, p=r=2", "", N6_P2_R2_TABLE, grouped)
     for r in (3, 4):
-        sizes = fiber_classes(
-            resultant_counts_marked(6, 3, r), lambda perm: tuple(map(len, record_split(perm, 3)))
-        )
+        sizes = fiber_classes(resultant_counts_marked(6, 3, r), lambda perm: record_class(perm, 3))
         built = tuple(tuple(sizes[i, j] for j in (1, 2, 3)) for i in (1, 2, 3))
         report.add("marked fiber table for resultants in S_6, p=3", f"r={r}", N6_P3_TABLE, built)
     for n in range(2, min(n_max, 6) + 1):
@@ -731,9 +725,10 @@ def _verify_engine(report: VerifyReport, n_max: int, seeds: int, sweep: Sweep) -
         if tally["arms frozen", False]:
             arms_ok = False
         first_pass_counts.update(_observed(tally, "first pass"))
-    report.add("reverse-complement commutes with the resultant", f"n<=min({n_max},6)", True, sym_ok)
-    report.add("pass count is min(p, n-p+1)", f"n<=min({n_max},6)", True, passes_ok)
-    report.add("arms are frozen prefixes/suffixes of the final state", f"n<=min({n_max},6)", True, arms_ok)
+    swept = f"n<=min({n_max},{ENGINE_N})"
+    report.add("reverse-complement commutes with the resultant", swept, True, sym_ok)
+    report.add("pass count is min(p, n-p+1)", swept, True, passes_ok)
+    report.add("arms are frozen prefixes/suffixes of the final state", swept, True, arms_ok)
     report.note(
         "first pass comprises n topplings (text says n+1)",
         "offset of measured count from n",
@@ -881,7 +876,6 @@ def _verify_bijections(report: VerifyReport) -> None:
     for n in range(1, 6):
         for p in range(1, n + 1):
             for perm, members in group_by_resultant(n, p).items():
-                i, j = map(len, record_split(perm, p))
                 images = set()
                 for config in members:
                     reduced = bijections.phi(config, perm)
@@ -892,7 +886,7 @@ def _verify_bijections(report: VerifyReport) -> None:
                         phi_ok = False
                 if len(images) != len(members):
                     phi_ok = False
-                if len(members) != polybernoulli.count_resultant_class(i, j):
+                if len(members) != polybernoulli.count_resultant_class(*record_class(perm, p)):
                     phi_ok = False
     report.add("record-skeleton reduction is a fiber bijection", "n<=5", True, phi_ok)
 

@@ -3,9 +3,13 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import validate
 
 from chiptopple.cli import cli
+from chiptopple.core import format_configuration, format_permutation
+from conftest import small_configurations
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -162,8 +166,19 @@ class TestCount:
                 ("biject", "vesz-to-callan", "--perm", "12", "-u", "0", "-o", "2"),
                 "need at least one underlined and one overlined value",
             ),
+            (("count", "toppleable", "--n", "-2", "--p", "1", "--method", "characterize"), "p outside 1..-2"),
+            (("count", "toppleable", "--n", "-2", "--p", "1", "--method", "simulate"), "p outside 1..-2"),
+            (("count", "rp", "--n", "-1", "--p", "1", "--r", "1", "--method", "brute"), "n must be at least 0"),
+            (("count", "all-r", "--n", "-1", "--p", "1", "--method", "brute"), "n must be at least 0"),
+            (
+                ("tables", "--which", "Npi", "--n", "10", "--p", "1", "--r", "1"),
+                "n - 1 = 9 exceeds the permutation cap 8",
+            ),
         ],
-        ids=["ao", "vesztergombi", "window_c-list", "callan", "vesz-to-callan"],
+        ids=[
+            "ao", "vesztergombi", "window_c-list", "callan", "vesz-to-callan",
+            "toppleable-characterize", "toppleable-simulate", "rp-brute", "all-r-brute", "npi-cap",
+        ],
     )
     def test_bad_sizes_are_one_line_errors(self, runner, args, message):
         result = run(runner, *args)
@@ -183,6 +198,79 @@ class TestCount:
         result = run(runner, "polybernoulli", "B", *args)
         assert result.exit_code == 0
         assert result.output == f"{value}\n"
+
+
+# One argv template per command shape. Each placeholder takes a fresh draw:
+# {int} an integer around every size boundary; {lit} a valid permutation or
+# configuration literal, or any string over the characters of those
+# grammars; {small} and {tiny} sizes for brute-force enumerations, bounded
+# so that a run stays fast.
+_TEMPLATES = [
+    "topple --config {lit}",
+    "topple --config {lit} --trace",
+    "topple --config {lit} --seed {int}",
+    "check config --config {lit}",
+    "check rp --perm {lit} --r {int} --p {int}",
+    "check all-r --perm {lit} --p {int}",
+    "count toppleable --n {int} --p {int}",
+    "count toppleable --n {small} --p {int} --method simulate",
+    "count toppleable --n {small} --p {int} --method characterize",
+    "count rp --n {int} --p {int} --r {int}",
+    "count rp --n {int} --p {int} --r {int} --method c_sum",
+    "count rp --n {small} --p {int} --r {int} --method brute",
+    "count all-r --n {int} --p {int}",
+    "count all-r --n {small} --p {int} --method brute",
+    "count class --i {int} --j {int}",
+    "count npi --perm {lit} --r {int} --p {int}",
+    "count family --family callan -u {tiny} -o {tiny}",
+    "count family --family callan_first -u {tiny} -o {tiny} --first {int}",
+    "count family --family vesztergombi --k {tiny} --n {tiny} --list",
+    "count family --family excedance_set --n {tiny} --k {tiny}",
+    "count ao --n {tiny} --k {tiny}",
+    "tables --which 1a --n {int}",
+    "tables --which 1b --n {int} --format csv",
+    "tables --which 2 --n {int} --format json",
+    "tables --which T-counts --n {int}",
+    "tables --which T-array --n {small} --p {int}",
+    "tables --which resultant-fibers --n {small} --p {int}",
+    "tables --which Npi --n {small} --p {int} --r {int}",
+    "biject callan-to-vesz --word {lit} -u {int} -o {int}",
+    "biject vesz-to-callan --perm {lit} -u {int} -o {int}",
+    "biject phi --config {lit}",
+    "biject phi --config {lit} --perm {lit}",
+    "biject phi-inverse --config {lit} --perm {lit}",
+    "biject phi-inverse --config {lit} --perm {lit} --p {int}",
+    "polybernoulli B --n {int} --k {int}",
+    "polybernoulli C --n {int} --k {int} --method inclusion_exclusion",
+    "polybernoulli B --n {int} --k {int} --method recurrence",
+]
+_FILLS = {
+    "{int}": st.integers(-3, 9).map(str),
+    "{small}": st.integers(-3, 5).map(str),
+    "{tiny}": st.integers(-3, 3).map(str),
+    "{lit}": st.one_of(
+        st.text(alphabet="0123456789,()*", max_size=12),
+        st.integers(0, 8).flatmap(lambda n: st.permutations(range(1, n + 1))).map(format_permutation),
+        small_configurations().map(format_configuration),
+    ),
+}
+
+
+@st.composite
+def _argv(draw):
+    template = draw(st.sampled_from(_TEMPLATES))
+    return [draw(_FILLS[token]) if token in _FILLS else token for token in template.split()]
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=_argv())
+def test_every_input_gets_an_answer_or_one_error_line(argv):
+    result = CliRunner().invoke(cli, argv)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (argv, result.exception)
+    if result.exit_code != 0:
+        assert result.exit_code in (1, 2), argv
+        assert len([line for line in result.output.splitlines() if line.startswith("Error:")]) == 1, argv
+    assert "Traceback" not in result.output
 
 
 class TestTables:

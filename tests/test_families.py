@@ -109,7 +109,7 @@ class TestEnumerateFamily:
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            list(enumerate_family("vesztergombi", k=6, n=6, cap=9))
+            list(enumerate_family("vesztergombi", k=6, n=6))
 
     def test_callan_first_needs_first(self):
         with pytest.raises(ValueError):

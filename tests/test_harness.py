@@ -106,6 +106,25 @@ class TestBruteCounts:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
         assert harness._pool_size(10**6, 40) == 1
 
+    @pytest.mark.parametrize(
+        "count",
+        [
+            lambda: brute_count_toppleable(4, 5, "simulate", jobs=2),
+            lambda: brute_T(4, 5, 1, jobs=2),
+            lambda: brute_T(4, 1, 6, jobs=2),
+            lambda: brute_all_r_toppleable(4, 5, jobs=2),
+        ],
+        ids=["toppleable", "rp-site", "rp-chip", "all-r"],
+    )
+    def test_bad_sizes_raise_before_a_pool_starts(self, monkeypatch, count):
+        def no_pool(max_workers):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError):
+            count()
+
     def test_chunks_follow_the_workers(self, monkeypatch):
         # a huge --jobs on two CPUs cuts four chunks per worker started,
         # not per job asked for; the fake pool runs them in process
