@@ -8,6 +8,18 @@ permutation lives in S_{k+n} with the displacement window -k..n. Counts:
 Callan(U,O) and Vesztergombi(k,n) are B(U,O) and B(n,k); the type C
 families are the excedance-set family, the half-open window family, and
 Callan words that start underlined.
+
+The recognizers in ``FAMILIES`` are the specification behind
+``enumerate_family`` and ``count_family``. ``family_members`` and
+``count_families`` instead classify a permutation v of 1..N at every split
+(x, N-x), 1 <= x <= N-1, with one scan, by three interval rules. With
+D+ = max(v_i - i) and D- = max(i - v_i):
+
+- Vesztergombi (k, N-k) holds exactly when D- <= k <= N - D+, and the
+  half-open window (N-k, k) exactly when D- <= k <= N - 1 - D+;
+- excedance set (N-j, j) holds exactly when the excedance set is {1..j};
+- Callan (u, N-u) holds exactly when every value that starts an ascent is
+  <= u and every value that starts a descent is > u.
 """
 from __future__ import annotations
 
@@ -50,9 +62,6 @@ class CallanWord:
             else:
                 out.append([value])
         return tuple(tuple(b) for b in out)
-
-    def starts_underlined(self) -> bool:
-        return self.values[0] <= self.underlined
 
 
 def _callan_violation(values: Perm, underlined: int, overlined: int) -> str | None:
@@ -200,21 +209,86 @@ def count_family(family: str, **params: int) -> int:
     return sum(1 for _ in enumerate_family(family, **params))
 
 
-def count_families(size: int) -> Counter[tuple[str, int, int]]:
+def _split_ranges(values: Perm) -> dict[str, range]:
     """
-    Count every two-parameter family at every split of size in one pass
-    over S_size: key (family, x, y) with x + y = size, the parameters in
-    the order of ``FAMILIES``.
+    For each two-parameter family of ``FAMILIES``, the first parameters x
+    in 1..N-1 for which values (a permutation of 1..N) belongs to the
+    family at the split (x, N - x), by the interval rules of the module
+    docstring, from one scan of values.
+    """
+    size = len(values)
+    rise = fall = 0  # D+ and D-
+    excedances = last_excedance = 0
+    ascent, descent = 1, size  # bounds on Callan's u before any step is seen
+    previous = size + 1  # the first value ends no step
+    for i, v in enumerate(values, start=1):
+        if v > i:
+            excedances += 1
+            last_excedance = i
+            if v - i > rise:
+                rise = v - i
+        elif i - v > fall:
+            fall = i - v
+        if previous < v:
+            if previous > ascent:
+                ascent = previous
+        elif previous < descent:
+            descent = previous
+        previous = v
+    least_k = max(fall, 1)
+    prefix = 0 < excedances == last_excedance  # the excedance set is {1..excedances}
+    return {
+        "vesztergombi": range(least_k, size - max(rise, 1) + 1),
+        "callan": range(ascent, descent),
+        "window_c": range(rise + 1, size - least_k + 1),
+        "excedance_set": range(size - excedances, size - excedances + prefix),
+    }
+
+
+def _memberships(size: int) -> Iterator[tuple[tuple[str, int, int], Perm]]:
+    """
+    (key, permutation) for every family membership at every split of size,
+    from one pass over S_size in lexicographic order: key (family, x, y)
+    with x + y = size, the parameters in the order of ``FAMILIES``.
     """
     _check_cap(size)
-    splits = [(x, size - x) for x in range(1, size)]
-    recognizers = [(name, fn) for name, (names, fn) in FAMILIES.items() if len(names) == 2]
-    counts: Counter[tuple[str, int, int]] = Counter()
     for values in permutations(range(1, size + 1)):
-        for name, recognize in recognizers:
-            for x, y in splits:
-                if recognize(values, x, y):
-                    counts[name, x, y] += 1
+        for name, xs in _split_ranges(values).items():
+            for x in xs:
+                yield (name, x, size - x), values
+
+
+def family_members(size: int) -> dict[tuple[str, int, int], list[Perm]]:
+    """
+    The members of every two-parameter family at every split of size, in
+    lexicographic order: key (family, x, y) with x + y = size, the
+    parameters in the order of ``FAMILIES``.
+    """
+    members: dict[tuple[str, int, int], list[Perm]] = {}
+    for key, values in _memberships(size):
+        members.setdefault(key, []).append(values)
+    return members
+
+
+def count_families(size: int) -> Counter[tuple]:
+    """
+    Count every two-parameter family at every split of size, keyed as in
+    ``family_members``, and the Callan words of each split by first
+    letter, keyed ("callan_first", underlined, overlined, first).
+
+    No recognizer runs: one scan of each permutation v gives every split
+    at once. With D+ = max(v_i - i) and D- = max(i - v_i), v is
+    Vesztergombi (k, N-k) for D- <= k <= N - D+ and a half-open window
+    (N-k, k) for D- <= k <= N - 1 - D+; it has the excedance set of
+    (N-j, j) when that set is {1..j}; and it is a Callan word (u, N-u) for
+    (largest value starting an ascent) <= u <= (smallest value starting a
+    descent) - 1.
+    """
+    counts: Counter[tuple] = Counter()
+    for (name, x, y), values in _memberships(size):
+        counts[name, x, y] += 1
+        if name == "callan":
+            counts["callan_first", x, y, values[0]] += 1
     return counts
 
 

@@ -114,6 +114,7 @@ def _sweep_chunk(args: tuple[int, int, int, int]) -> Counter:
     Topple the configurations of S(n,p) with ranks in [lo, hi) once each,
     by passes, and tally what the verify report reads from them:
     tally[fact, value] counts the configurations on which fact took value.
+    Only n <= ENGINE_N needs a pass trace; above it ``resultant`` suffices.
     The facts are the resultant, the empty site and the window oracle's
     verdict; for n <= ENGINE_N also the pass count, the first pass's
     topplings beyond n, whether every pass's arms are frozen in the final
@@ -123,10 +124,13 @@ def _sweep_chunk(args: tuple[int, int, int, int]) -> Counter:
     n, p, lo, hi = args
     tally: Counter = Counter()
     for config in enumerate_configurations(n, p, lo, hi):
-        final, trace = stabilize_passes(config)
-        perm = final.permutation()
+        if n > ENGINE_N:
+            perm, empty_site = resultant(config)
+        else:
+            final, trace = stabilize_passes(config)
+            perm, empty_site = final.permutation(), final.empty_site
         tally["resultant", perm] += 1
-        tally["empty site", final.empty_site] += 1
+        tally["empty site", empty_site] += 1
         tally["window", characterize.is_p_toppleable(config)] += 1
         if n <= ENGINE_N:
             occupancy = final.occupancy
@@ -741,6 +745,7 @@ def _verify_correspondences(report: VerifyReport, n_max: int) -> None:
     ok_window = True
     ok_callan = True
     for n in range(1, min(n_max, 5) + 1):
+        counts = families.count_families(n + 1)
         for p in range(1, n + 1):
             for r in range(1, n + 2):
                 count = 0
@@ -751,10 +756,7 @@ def _verify_correspondences(report: VerifyReport, n_max: int) -> None:
                     in_window = families.is_vesztergombi(star, p, n - p + 1)
                     if toppleable != (in_window and star[p] == r):
                         ok_window = False
-                callan_count = families.count_family(
-                    "callan_first", underlined=n - p + 1, overlined=p, first=r
-                )
-                if count != callan_count:
+                if count != counts["callan_first", n - p + 1, p, r]:
                     ok_callan = False
     report.add(
         "toppleable permutations map onto windowed readings",
@@ -797,12 +799,7 @@ def _verify_families(report: VerifyReport) -> None:
             if counts["callan", k, n] != counts["callan", n, k]:
                 callan_sym_ok = False
             if total <= 7:
-                first_underlined = sum(
-                    families.count_family(
-                        "callan_first", underlined=k, overlined=n, first=r
-                    )
-                    for r in range(1, k + 1)
-                )
+                first_underlined = sum(counts["callan_first", k, n, r] for r in range(1, k + 1))
                 if first_underlined != polybernoulli.c_number(k, n):
                     first_ok = False
             if counts["window_c", n, k] != polybernoulli.c_number(n, k):
@@ -854,16 +851,12 @@ def _verify_bijections(report: VerifyReport) -> None:
     round_ok = True
     anchor_ok = True
     for total in range(2, 8):
+        members = families.family_members(total)
         for u in range(1, total):
             o = total - u
-            words = [
-                CallanWord(values=w, underlined=u, overlined=o)
-                for w in families.enumerate_family("callan", underlined=u, overlined=o)
-            ]
+            words = [CallanWord(values=w, underlined=u, overlined=o) for w in members["callan", u, o]]
             images = [bijections.callan_to_vesztergombi(w) for w in words]
-            if sorted(images) != sorted(
-                families.enumerate_family("vesztergombi", k=u, n=o)
-            ):
+            if sorted(images) != members["vesztergombi", u, o]:
                 round_ok = False
             for w, sigma in zip(words, images):
                 if bijections.vesztergombi_to_callan(sigma, u, o).values != w.values:

@@ -1,13 +1,16 @@
 import pytest
 
 from chiptopple.families import (
+    FAMILIES,
     CallanWord,
     CapExceeded,
+    _split_ranges,
     count_acyclic_orientations,
     count_families,
     count_family,
     enumerate_family,
     excedance_set,
+    family_members,
     is_callan,
     is_p_resultant,
     is_vesztergombi,
@@ -60,7 +63,6 @@ class TestCallan:
         assert word.blocks() == (
             (5, 7), (12, 11), (1, 4, 8), (14,), (3, 6, 9), (15, 13, 10), (2,),
         )
-        assert word.starts_underlined()
 
     def test_invalid_words_rejected(self):
         with pytest.raises(ValueError):
@@ -94,7 +96,7 @@ class TestEnumerateFamily:
         assert count_family("excedance_set", n=2, k=1) == 3
 
     def test_family_counts_match_numbers(self):
-        for total in range(2, 7):
+        for total in range(2, 8):
             table = count_families(total)
             for k in range(1, total):
                 n = total - k
@@ -102,6 +104,17 @@ class TestEnumerateFamily:
                 assert count_family("callan", underlined=k, overlined=n) == table["callan", k, n] == b_number(k, n)
                 assert count_family("window_c", n=n, k=k) == table["window_c", n, k] == c_number(n, k)
                 assert count_family("excedance_set", n=n, k=k) == table["excedance_set", n, k] == c_number(n, k)
+                for r in range(1, total + 1):
+                    assert table["callan_first", k, n, r] == count_family(
+                        "callan_first", underlined=k, overlined=n, first=r
+                    ), (k, n, r)
+                assert sum(table["callan_first", k, n, r] for r in range(1, k + 1)) == c_number(k, n)
+
+    def test_family_members_are_the_enumerations(self):
+        members = family_members(5)
+        for (name, x, y), perms in members.items():
+            assert perms == list(enumerate_family(name, **dict(zip(FAMILIES[name][0], (x, y)))))
+        assert len(members) == 4 * 4
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
@@ -114,6 +127,21 @@ class TestEnumerateFamily:
     def test_callan_first_needs_first(self):
         with pytest.raises(ValueError):
             count_family("callan_first", underlined=2, overlined=2)
+
+
+class TestIntervalRules:
+    def test_scan_matches_recognizers(self):
+        """Every split of every permutation of size <= 8, each family's range
+        against its recognizer, and Callan also against the run oracle."""
+        two_parameter = {name: fn for name, (names, fn) in FAMILIES.items() if len(names) == 2}
+        for size in range(1, 9):
+            splits = range(1, size)
+            for perm in oracle_permutations(size):
+                ranges = _split_ranges(perm)
+                assert ranges.keys() == two_parameter.keys()
+                for name, recognize in two_parameter.items():
+                    assert set(ranges[name]) == {x for x in splits if recognize(perm, x, size - x)}, (name, perm)
+                assert set(ranges["callan"]) == {u for u in splits if oracle_is_callan(perm, u)}, perm
 
 
 class TestAcyclicOrientations:
