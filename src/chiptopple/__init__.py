@@ -21,7 +21,6 @@ from .core import (
     make_permutation,
     map_w,
     parse_configuration,
-    parse_marked_configuration,
     parse_permutation,
     records,
     reverse_complement,

@@ -385,7 +385,7 @@ def biject_phi(literal: str, perm: str | None) -> None:
         pi, _ = engine.resultant(config)
     else:
         pi = parse_permutation(perm)
-    reduced = bijections.phi(config, pi, True)
+    reduced = bijections.phi(config, pi, verify=perm is not None)
     click.echo(format_configuration(reduced))
 
 

@@ -199,13 +199,6 @@ class Configuration:
     def pair(self) -> tuple[int, int]:
         return self.sites[self.p - 1]  # type: ignore[return-value]
 
-    def position_of(self, chip: int) -> int:
-        """Site of the given chip; both chips of the pair report site p."""
-        for i, content in enumerate(self.sites, start=1):
-            if chip in content:
-                return i
-        raise ValueError(f"no chip labelled {chip}")
-
     @classmethod
     def _trusted(cls, n: int, p: int, sites: tuple[tuple[int, ...], ...]) -> "Configuration":
         """Build without validation, for producers whose output is valid by construction."""
@@ -329,9 +322,8 @@ def reverse_complement(config: Configuration) -> Configuration:
 # Text literals
 #
 # Configuration: comma-separated chips in site order, doubled site in
-# parentheses, e.g. "7,3,1,5,(2,4),6,8"; a marked chip carries a trailing
-# "*", e.g. "(2*,4)". Permutation: contiguous digits when n <= 9 (e.g.
-# "6214357"), comma-separated otherwise.
+# parentheses, e.g. "7,3,1,5,(2,4),6,8". Permutation: contiguous digits
+# when n <= 9 (e.g. "6214357"), comma-separated otherwise.
 # ---------------------------------------------------------------------------
 
 _PAIR_RE = re.compile(r"\(([^()]*)\)")
@@ -352,23 +344,15 @@ def format_permutation(perm: Perm) -> str:
     return ",".join(str(v) for v in perm)
 
 
-def _parse_site_tokens(text: str) -> tuple[list[int | tuple[int, ...]], int | None]:
+def parse_configuration(text: str) -> Configuration:
     text = text.strip()
-    mark: int | None = None
+    if "*" in text:
+        raise ValueError("unexpected marked chip in plain configuration literal")
     match = _PAIR_RE.search(text)
     if match is None:
         raise ValueError(f"configuration literal has no doubled site: {text!r}")
     raw_pair = match.group(1)
-    pair = []
-    for tok in raw_pair.split(","):
-        tok = tok.strip()
-        if tok.endswith("*"):
-            if mark is not None:
-                raise ValueError("more than one marked chip")
-            mark = int(tok[:-1])
-            pair.append(mark)
-        else:
-            pair.append(int(tok))
+    pair = tuple(int(tok) for tok in raw_pair.split(","))
     if len(pair) != 2:
         raise ValueError(f"doubled site must hold exactly two chips: ({raw_pair})")
     before = text[: match.start()].rstrip(", ")
@@ -376,37 +360,14 @@ def _parse_site_tokens(text: str) -> tuple[list[int | tuple[int, ...]], int | No
     contents: list[int | tuple[int, ...]] = []
     for chunk in (before, None, after):
         if chunk is None:
-            contents.append(tuple(pair))
+            contents.append(pair)
         elif chunk:
             contents.extend(int(tok) for tok in chunk.split(","))
-    return contents, mark
-
-
-def parse_configuration(text: str) -> Configuration:
-    contents, mark = _parse_site_tokens(text)
-    if mark is not None:
-        raise ValueError("unexpected marked chip in plain configuration literal")
     return make_configuration(contents)
 
 
-def parse_marked_configuration(text: str) -> MarkedConfiguration:
-    contents, mark = _parse_site_tokens(text)
-    if mark is None:
-        raise ValueError("marked configuration literal needs a '*' chip")
-    return MarkedConfiguration(config=make_configuration(contents), mark=mark)
-
-
-def format_configuration(config: Configuration, mark: int | None = None) -> str:
-    parts = []
-    for i, content in enumerate(config.sites, start=1):
-        if i == config.p:
-            a, b = content
-            inner = ",".join(f"{c}*" if c == mark else str(c) for c in (a, b))
-            parts.append(f"({inner})")
-        else:
-            parts.append(str(content[0]))
-    return ",".join(parts)
-
-
-def format_marked_configuration(marked: MarkedConfiguration) -> str:
-    return format_configuration(marked.config, mark=marked.mark)
+def format_configuration(config: Configuration) -> str:
+    return ",".join(
+        "({},{})".format(*content) if i == config.p else str(content[0])
+        for i, content in enumerate(config.sites, start=1)
+    )

@@ -5,10 +5,15 @@ Enumeration is chunkable: permutations and configurations are indexed
 lexicographically, workers handle disjoint rank ranges, and partial
 results (counts or tallies) merge by addition, so results do not depend on
 the worker count. The verification report replays every counting identity
-of the library by independent brute force, toppling each configuration
-once per run, and flags the few places where the published tables
-disagree with their own formulas as documented discrepancies instead of
-failures.
+of the library by independent brute force and flags the few places where
+the published tables disagree with their own formulas as documented
+discrepancies instead of failures. One sweep per run topples each
+configuration of S(n,p) once and serves every fact about S(n,p): the
+resultants, the pass structure and, through the two (permutation, r)
+readings of each configuration, the (r,p) counts, the marked fibers and
+the windowed readings. Only the claims checked at fixed sizes (the S_6
+marked tables and fiber-class array, the S(3,2) listing and the phi loop)
+topple on their own.
 """
 from __future__ import annotations
 
@@ -26,6 +31,7 @@ from typing import Callable, Hashable, Iterator, Mapping
 from . import bijections, characterize, families, polybernoulli
 from .core import (
     Configuration,
+    MarkedConfiguration,
     Perm,
     format_configuration,
     inverse,
@@ -44,7 +50,8 @@ from .families import CallanWord, CapExceeded
 
 PERM_CAP = 8  # enumerate at most 8! permutations by default
 CONFIG_CAP = 7  # enumerate configurations up to n = 7 by default
-ENGINE_N = 6  # verify checks the pass structure on S(n,p) up to n = 6
+ENGINE_N = 6  # verify checks the pass structure and the (r,p) counts on S(n,p) up to n = 6
+READING_N = 5  # and the marked fibers and windowed readings up to n = 5
 
 Sweep = dict[tuple[int, int], Counter]  # (n, p) -> tally of S(n,p), see _sweep_chunk
 
@@ -118,8 +125,14 @@ def _sweep_chunk(args: tuple[int, int, int, int]) -> Counter:
     The facts are the resultant, the empty site and the window oracle's
     verdict; for n <= ENGINE_N also the pass count, the first pass's
     topplings beyond n, whether every pass's arms are frozen in the final
-    state, and whether the mirrored configuration topples to the mirrored
-    resultant.
+    state and whether the mirrored configuration topples to the mirrored
+    resultant. A configuration is also read twice, as ``lift(perm, r, p)``
+    with r either chip of the pair, so S(n,p) holds every (perm, r) once:
+    for n <= ENGINE_N, "rp toppleable" r counts the readings toppling to
+    the identity, T(n,p,r); for n <= READING_N, (("marked", r), resultant)
+    counts the fiber that ``resultant_counts_marked(n + 1, p, r)`` gives,
+    and "reading window" is whether the window verdict agrees with the
+    Vesztergombi window of ``map_w`` with r marked and read after site p.
     """
     n, p, lo, hi = args
     tally: Counter = Counter()
@@ -129,25 +142,35 @@ def _sweep_chunk(args: tuple[int, int, int, int]) -> Counter:
         else:
             final, trace = stabilize_passes(config)
             perm, empty_site = final.permutation(), final.empty_site
+        window = characterize.is_p_toppleable(config)
         tally["resultant", perm] += 1
         tally["empty site", empty_site] += 1
-        tally["window", characterize.is_p_toppleable(config)] += 1
-        if n <= ENGINE_N:
-            occupancy = final.occupancy
-            frozen = all(
-                snap.left_arm == occupancy[: len(snap.left_arm)]
-                and snap.right_arm == occupancy[len(occupancy) - len(snap.right_arm) :]
-                for snap in trace.passes
-            )
-            mirrored, _ = resultant(reverse_complement(config))
-            tally["passes", len(trace.passes)] += 1
-            tally["first pass", trace.passes[0].topples - n] += 1
-            tally["arms frozen", frozen] += 1
-            tally["mirror commutes", mirrored == reverse_complement_perm(perm)] += 1
+        tally["window", window] += 1
+        if n > ENGINE_N:
+            continue
+        occupancy = final.occupancy
+        frozen = all(
+            snap.left_arm == occupancy[: len(snap.left_arm)]
+            and snap.right_arm == occupancy[len(occupancy) - len(snap.right_arm) :]
+            for snap in trace.passes
+        )
+        mirrored, _ = resultant(reverse_complement(config))
+        tally["passes", len(trace.passes)] += 1
+        tally["first pass", trace.passes[0].topples - n] += 1
+        tally["arms frozen", frozen] += 1
+        tally["mirror commutes", mirrored == reverse_complement_perm(perm)] += 1
+        for r in config.pair:
+            if window:
+                tally["rp toppleable", r] += 1
+            if n <= READING_N:
+                tally[("marked", r), perm] += 1
+                star = map_w(MarkedConfiguration(config, r))
+                windowed = families.is_vesztergombi(star, p, n - p + 1) and star[p] == r
+                tally["reading window", window == windowed] += 1
     return tally
 
 
-def _observed(tally: Counter, fact: str) -> dict:
+def _observed(tally: Counter, fact: Hashable) -> dict:
     """The values that fact took in a sweep tally, with their counts."""
     return {value: count for (name, value), count in tally.items() if name == fact}
 
@@ -555,21 +578,21 @@ T_TABLE_N4 = (
 )
 
 
-def _verify_rp_toppleable(report: VerifyReport, n_max: int, jobs: int) -> None:
+def _verify_rp_toppleable(report: VerifyReport, n_max: int, sweep: Sweep) -> None:
     for n, table in ((4, T_TABLE_N4), (5, T_TABLE_N5)):
         built = tuple(
             tuple(polybernoulli.count_rp_toppleable(n, p, r) for r in range(1, n + 2))
             for p in range(1, n + 1)
         )
         report.add("printed (r,p)-toppleable table", f"n={n}", table, built)
-    for n in range(1, min(n_max, 6) + 1):
+    for n in range(1, min(n_max, ENGINE_N) + 1):
         ok_brute = ok_csum = True
         for p in range(1, n + 1):
             for r in range(1, n + 2):
                 delta = polybernoulli.count_rp_toppleable(n, p, r, "delta")
                 if delta != polybernoulli.count_rp_toppleable(n, p, r, "c_sum"):
                     ok_csum = False
-                if delta != brute_T(n, p, r, jobs=jobs):
+                if delta != sweep[n, p]["rp toppleable", r]:
                     ok_brute = False
         report.add("difference formula vs brute force", f"n={n}, all (p,r)", True, ok_brute)
         report.add("difference formula vs C-number sums", f"n={n}, all (p,r)", True, ok_csum)
@@ -676,18 +699,19 @@ N6_P2_R2_TABLE = {(0, 1, 1): 2, (0, 1, 2): 4, (0, 2, 1): 4, (0, 2, 2): 14,
 N6_P3_TABLE = ((1, 1, 1), (1, 3, 7), (1, 7, 31))
 
 
-def _verify_marked(report: VerifyReport, n_max: int) -> None:
+def _verify_marked(report: VerifyReport, n_max: int, sweep: Sweep) -> None:
     grouped, _ = marked_class_table(6, 2, 2)
     report.add("marked fiber table for resultants in S_6, p=r=2", "", N6_P2_R2_TABLE, grouped)
     for r in (3, 4):
         sizes = fiber_classes(resultant_counts_marked(6, 3, r), lambda perm: record_class(perm, 3))
         built = tuple(tuple(sizes[i, j] for j in (1, 2, 3)) for i in (1, 2, 3))
         report.add("marked fiber table for resultants in S_6, p=3", f"r={r}", N6_P3_TABLE, built)
-    for n in range(2, min(n_max, 6) + 1):
+    # resultants in S_n of the readings of S(n-1,p)
+    for n in range(2, min(n_max, READING_N + 1) + 1):
         ok_formula = ok_keys = ok_sum = True
         for p in range(1, n):
             for r in range(1, n + 1):
-                fibers = resultant_counts_marked(n, p, r)
+                fibers = _observed(sweep[n - 1, p], ("marked", r))
                 if sum(fibers.values()) != factorial(n - 1):
                     ok_sum = False
                 expected_keys = {
@@ -741,22 +765,16 @@ def _verify_engine(report: VerifyReport, n_max: int, seeds: int, sweep: Sweep) -
     )
 
 
-def _verify_correspondences(report: VerifyReport, n_max: int) -> None:
-    ok_window = True
-    ok_callan = True
-    for n in range(1, min(n_max, 5) + 1):
+def _verify_correspondences(report: VerifyReport, n_max: int, sweep: Sweep) -> None:
+    ok_window = ok_callan = True
+    for n in range(1, min(n_max, READING_N) + 1):
         counts = families.count_families(n + 1)
         for p in range(1, n + 1):
+            tally = sweep[n, p]
+            if tally["reading window", False]:
+                ok_window = False
             for r in range(1, n + 2):
-                count = 0
-                for perm in iter_permutations(n):
-                    toppleable = characterize.is_rp_toppleable(perm, r, p)
-                    count += toppleable
-                    star = map_w(lift(perm, r, p))
-                    in_window = families.is_vesztergombi(star, p, n - p + 1)
-                    if toppleable != (in_window and star[p] == r):
-                        ok_window = False
-                if count != counts["callan_first", n - p + 1, p, r]:
+                if tally["rp toppleable", r] != counts["callan_first", n - p + 1, p, r]:
                     ok_callan = False
     report.add(
         "toppleable permutations map onto windowed readings",
@@ -931,8 +949,8 @@ def verify_identities(n_max: int = 7, jobs: int = 1, seeds: int = 5) -> VerifyRe
     only on unexplained mismatches; known printed-table glitches are
     emitted as documented discrepancies.
     """
-    # one toppling per configuration, read by the toppleable, resultants
-    # and engine sections
+    # one toppling per configuration of S(n,p), read by every section that
+    # checks a fact about S(n,p)
     sweep: Sweep = {
         (n, p): _parallel_sum(_sweep_chunk, (n, p), configuration_count(n), jobs)
         for n in range(1, min(n_max, CONFIG_CAP) + 1)
@@ -941,12 +959,12 @@ def verify_identities(n_max: int = 7, jobs: int = 1, seeds: int = 5) -> VerifyRe
     report = VerifyReport(n_max=n_max)
     _verify_kernel(report)
     _verify_toppleable(report, sweep)
-    _verify_rp_toppleable(report, n_max, jobs)
+    _verify_rp_toppleable(report, n_max, sweep)
     _verify_all_r(report, n_max, jobs)
     _verify_resultants(report, n_max, sweep)
-    _verify_marked(report, n_max)
+    _verify_marked(report, n_max, sweep)
     _verify_engine(report, n_max, seeds, sweep)
-    _verify_correspondences(report, n_max)
+    _verify_correspondences(report, n_max, sweep)
     _verify_families(report)
     _verify_bijections(report)
     _verify_core(report, n_max)

@@ -56,6 +56,11 @@ class TestTopple:
         assert result.exit_code == 1
         assert "doubled site" in result.output
 
+    def test_marked_literal_is_an_error(self, runner):
+        result = run(runner, "topple", "--config", "1,(2*,3),4")
+        assert result.exit_code == 1
+        assert result.output == "Error: unexpected marked chip in plain configuration literal\n"
+
     @pytest.mark.parametrize("schedule", [("--random",), ("--seed", "3")])
     def test_trace_needs_pass_schedule(self, runner, schedule):
         result = run(runner, "topple", "--config", "1,(2,3),4", *schedule, "--trace")
@@ -374,6 +379,7 @@ class TestBiject:
     def test_phi_with_wrong_perm_fails(self, runner):
         result = run(runner, "biject", "phi", "--config", "4,(1,2),3", "--perm", "1234")
         assert result.exit_code == 1
+        assert result.output == "Error: configuration topples to (1, 2, 4, 3), not (1, 2, 3, 4)\n"
 
 
 class TestVerify:

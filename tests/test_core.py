@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from chiptopple.core import (
     Configuration,
+    MarkedConfiguration,
     format_configuration,
-    format_marked_configuration,
     format_permutation,
     identity,
     inverse,
@@ -15,7 +15,6 @@ from chiptopple.core import (
     make_permutation,
     map_w,
     parse_configuration,
-    parse_marked_configuration,
     parse_permutation,
     records,
     reverse_complement,
@@ -166,7 +165,7 @@ class TestMapW:
         assert map_w(lift((1,), 2, 1)) == (1, 2)
 
     def test_three_sites(self):
-        marked = parse_marked_configuration("1,(2*,3),4")
+        marked = MarkedConfiguration(parse_configuration("1,(2,3),4"), 2)
         assert map_w(marked) == (1, 3, 2, 4)
 
     @given(perms, st.data())
@@ -215,10 +214,6 @@ class TestLiterals:
         text = "7,3,1,5,(2,4),6,8"
         assert format_configuration(parse_configuration(text)) == text
 
-    def test_marked_roundtrip(self):
-        text = "7,3,1,5,(2*,4),6,8"
-        assert format_marked_configuration(parse_marked_configuration(text)) == text
-
     def test_pair_is_unordered(self):
         assert parse_configuration("1,(3,2),4") == parse_configuration("1,(2,3),4")
 
@@ -235,8 +230,6 @@ class TestLiterals:
         with pytest.raises(ValueError):
             parse_configuration("1,(2*,3),4")
         with pytest.raises(ValueError):
-            parse_marked_configuration("1,(2,3),4")
-        with pytest.raises(ValueError):
             parse_permutation("12x")
 
 
@@ -252,14 +245,6 @@ class TestConfigurationValidation:
     def test_no_pair_rejected(self):
         with pytest.raises(ValueError):
             make_configuration([1, 2, 3])
-
-    def test_position_of(self):
-        config = parse_configuration("7,3,1,5,(2,4),6,8")
-        assert config.position_of(2) == 5
-        assert config.position_of(4) == 5
-        assert config.position_of(7) == 1
-        with pytest.raises(ValueError):
-            config.position_of(9)
 
 
 def test_left_record_distribution_matches_stirling_first_kind():

@@ -165,6 +165,21 @@ class TestBruteCounts:
         assert merged == serial
         assert sum(harness._observed(merged, "resultant").values()) == configuration_count(n)
 
+    @pytest.mark.parametrize(
+        "n,p", [(n, p) for n in range(1, 6) for p in range(1, n + 1)] + [(6, 1), (6, 3)]
+    )
+    def test_sweep_readings_match_the_public_counters(self, n, p):
+        tally = harness._sweep_chunk((n, p, 0, configuration_count(n)))
+        for r in range(1, n + 2):
+            assert tally["rp toppleable", r] == brute_T(n, p, r)
+            marked = harness._observed(tally, ("marked", r))
+            if n <= harness.READING_N:
+                assert marked == resultant_counts_marked(n + 1, p, r)
+            else:
+                assert marked == {}
+        assert tally["reading window", False] == 0
+        assert tally["reading window", True] == (2 * configuration_count(n) if n <= harness.READING_N else 0)
+
     def test_T_examples(self):
         assert brute_T(5, 2, 3) == 22
         # row p=3 of the n=4 table reads (8, 7, 7, 10, 14); r=5 is its last entry
