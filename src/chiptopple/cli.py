@@ -270,8 +270,7 @@ def _emit_table(header: list[str], rows: list[list[object]], fmt: str) -> None:
 @click.option(
     "--format", "fmt", type=click.Choice(["text", "csv", "json"]), default="text", show_default=True
 )
-@click.option("--jobs", type=_POSITIVE, default=1, show_default=True, help="Workers for brute-force tables.")
-def tables(which: str, n: int | None, p: int | None, r: int | None, fmt: str, jobs: int) -> None:
+def tables(which: str, n: int | None, p: int | None, r: int | None, fmt: str) -> None:
     """Rebuild one of the published tables (exact values)."""
     if n == 0 and which in ("2", "T-counts"):
         raise click.ClickException(f"table {which} needs --n >= 1")

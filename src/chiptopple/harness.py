@@ -9,11 +9,12 @@ of the library by independent brute force and flags the few places where
 the published tables disagree with their own formulas as documented
 discrepancies instead of failures. One sweep per run topples each
 configuration of S(n,p) once and serves every fact about S(n,p): the
-resultants, the pass structure and, through the two (permutation, r)
-readings of each configuration, the (r,p) counts, the marked fibers and
-the windowed readings. Only the claims checked at fixed sizes (the S_6
-marked tables and fiber-class array, the S(3,2) listing and the phi loop)
-topple on their own.
+resultants, the pass structure, the random schedules, the lift and mirror
+round trips and, through the two (permutation, r) readings of each
+configuration, the (r,p) counts, the marked fibers and the windowed
+readings. The sweep and the all-r counts share one pool per run. Only the
+fixed-size claims (the S_6 marked tables and fiber-class array, the
+S(3,2) listing and the phi loop) topple on their own.
 """
 from __future__ import annotations
 
@@ -116,7 +117,7 @@ def _sorts(config: Configuration) -> bool:
     return stabilize_passes(config)[0].is_sorted()
 
 
-def _sweep_chunk(args: tuple[int, int, int, int]) -> Counter:
+def _sweep_chunk(args: tuple[int, int, int, int, int]) -> Counter:
     """
     Topple the configurations of S(n,p) with ranks in [lo, hi) once each,
     by passes, and tally what the verify report reads from them:
@@ -133,8 +134,12 @@ def _sweep_chunk(args: tuple[int, int, int, int]) -> Counter:
     counts the fiber that ``resultant_counts_marked(n + 1, p, r)`` gives,
     and "reading window" is whether the window verdict agrees with the
     Vesztergombi window of ``map_w`` with r marked and read after site p.
+    For n <= READING_N it also tallies "schedules agree" (the random
+    schedules of seeds 0..seeds-1 all reach the passes' final state),
+    "lift inverts unlift" (for both ``unlift`` readings) and "mirror
+    involution" (``reverse_complement`` goes to S(n, n+1-p) and back).
     """
-    n, p, lo, hi = args
+    n, p, seeds, lo, hi = args
     tally: Counter = Counter()
     for config in enumerate_configurations(n, p, lo, hi):
         if n > ENGINE_N:
@@ -154,7 +159,8 @@ def _sweep_chunk(args: tuple[int, int, int, int]) -> Counter:
             and snap.right_arm == occupancy[len(occupancy) - len(snap.right_arm) :]
             for snap in trace.passes
         )
-        mirrored, _ = resultant(reverse_complement(config))
+        mirror = reverse_complement(config)
+        mirrored, _ = resultant(mirror)
         tally["passes", len(trace.passes)] += 1
         tally["first pass", trace.passes[0].topples - n] += 1
         tally["arms frozen", frozen] += 1
@@ -167,12 +173,25 @@ def _sweep_chunk(args: tuple[int, int, int, int]) -> Counter:
                 star = map_w(MarkedConfiguration(config, r))
                 windowed = families.is_vesztergombi(star, p, n - p + 1) and star[p] == r
                 tally["reading window", window == windowed] += 1
+        if n > READING_N:
+            continue
+        scheduled = all(stabilize_random(config, seed)[0] == final for seed in range(seeds))
+        readings = unlift(config)
+        lifted = len(readings) == 2 and all(lift(q, r, p).config == config for q, r in readings)
+        tally["schedules agree", scheduled] += 1
+        tally["lift inverts unlift", lifted] += 1
+        tally["mirror involution", mirror.p == n + 1 - p and reverse_complement(mirror) == config] += 1
     return tally
 
 
 def _observed(tally: Counter, fact: Hashable) -> dict:
     """The values that fact took in a sweep tally, with their counts."""
     return {value: count for (name, value), count in tally.items() if name == fact}
+
+
+def _always(sweep: Sweep, fact: str) -> bool:
+    """Did a yes/no fact hold on every configuration that tallies it?"""
+    return not any(tally[fact, False] for tally in sweep.values())
 
 
 def _chunked(total: int, pieces: int) -> list[tuple[int, int]]:
@@ -185,18 +204,23 @@ def _pool_size(jobs: int, items: int) -> int:
     return min(jobs, os.cpu_count() or 1, items)
 
 
-def _parallel_sum(worker: Callable, prefix: tuple, total: int, jobs: int):
+def _parallel_sum(items: list[tuple[Callable, tuple, int]], jobs: int) -> list:
     """
-    Run ``worker`` on ``prefix + (lo, hi)`` over the ranks 0..total, in
-    four chunks per worker started, and add up the results (ints or
-    Counters).
+    For each item ``(worker, prefix, total)``, run ``worker`` on ``prefix +
+    (lo, hi)`` over the ranks 0..total and add up the results (ints or
+    Counters). All items share one pool of ``_pool_size(jobs, sum of
+    totals)`` workers, four chunks per worker each; with one worker each
+    item is one call in process. Returns the sums in item order.
     """
-    workers = _pool_size(jobs, total)
+    workers = _pool_size(jobs, sum(total for _, _, total in items))
     if workers <= 1:
-        return worker(prefix + (0, total))
-    chunks = [prefix + span for span in _chunked(total, 4 * workers)]
+        return [worker(prefix + (0, total)) for worker, prefix, total in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return reduce(add, pool.map(worker, chunks))
+        parts = [
+            [pool.submit(worker, prefix + span) for span in _chunked(total, 4 * workers)]
+            for worker, prefix, total in items
+        ]
+        return [reduce(add, (part.result() for part in item)) for item in parts]
 
 
 def brute_count_toppleable(n: int, p: int, oracle: str = "simulate", jobs: int = 1) -> int:
@@ -205,28 +229,32 @@ def brute_count_toppleable(n: int, p: int, oracle: str = "simulate", jobs: int =
     if oracle not in tests:
         raise ValueError(f"unknown oracle {oracle!r}")
     next(enumerate_configurations(n, p, 0, 0), None)  # bad sizes raise here, before any pool starts
-    return _parallel_sum(
-        _count_chunk, (enumerate_configurations, tests[oracle], (n, p)), configuration_count(n), jobs
-    )
+    item = (_count_chunk, (enumerate_configurations, tests[oracle], (n, p)), configuration_count(n))
+    return _parallel_sum([item], jobs)[0]
 
 
-def _brute_count_permutations(n: int, test: Callable[[Perm], bool], jobs: int) -> int:
+def _permutation_item(n: int, test: Callable[[Perm], bool]) -> tuple[Callable, tuple, int]:
+    """The ``_parallel_sum`` item counting the permutations of 1..n that ``test`` accepts."""
     if n < 0:
         raise ValueError("n must be at least 0")
     if n > PERM_CAP:
         raise CapExceeded(f"n = {n} exceeds the permutation cap {PERM_CAP}")
     test(tuple(range(1, n + 1)))  # a bad site or chip raises here, before any pool starts
-    return _parallel_sum(_count_chunk, (iter_permutations, test, (n,)), factorial(n), jobs)
+    return _count_chunk, (iter_permutations, test, (n,)), factorial(n)
+
+
+def _all_r_item(n: int, p: int) -> tuple[Callable, tuple, int]:
+    return _permutation_item(n, partial(characterize.is_all_r_toppleable, p=p))
 
 
 def brute_T(n: int, p: int, r: int, jobs: int = 1) -> int:
     """Count permutations of 1..n that topple to the identity with chip r at p."""
-    return _brute_count_permutations(n, partial(characterize.is_rp_toppleable, r=r, p=p), jobs)
+    return _parallel_sum([_permutation_item(n, partial(characterize.is_rp_toppleable, r=r, p=p))], jobs)[0]
 
 
 def brute_all_r_toppleable(n: int, p: int, jobs: int = 1) -> int:
     """Count permutations toppleable for every choice of the extra chip."""
-    return _brute_count_permutations(n, partial(characterize.is_all_r_toppleable, p=p), jobs)
+    return _parallel_sum([_all_r_item(n, p)], jobs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -634,14 +662,12 @@ def _verify_rp_toppleable(report: VerifyReport, n_max: int, sweep: Sweep) -> Non
     report.add("deletion recursion for the counts", f"n<=%d" % n_max, True, recursion_ok)
 
 
-def _verify_all_r(report: VerifyReport, n_max: int, jobs: int) -> None:
-    for n in range(1, min(n_max, PERM_CAP) + 1):
-        ok = all(
-            brute_all_r_toppleable(n, p, jobs=jobs)
-            == polybernoulli.count_all_r_toppleable(n, p)
-            for p in range(1, n + 1)
-        )
-        report.add("all-r toppleable count is C(p,n-p)", f"n={n}", True, ok)
+def _verify_all_r(report: VerifyReport, all_r: dict[tuple[int, int], int]) -> None:
+    ok: dict[int, bool] = {}
+    for (n, p), count in all_r.items():
+        ok[n] = ok.get(n, True) and count == polybernoulli.count_all_r_toppleable(n, p)
+    for n, agree in ok.items():
+        report.add("all-r toppleable count is C(p,n-p)", f"n={n}", True, agree)
 
 
 S32_FIBERS = {
@@ -731,32 +757,18 @@ def _verify_marked(report: VerifyReport, n_max: int, sweep: Sweep) -> None:
 
 
 def _verify_engine(report: VerifyReport, n_max: int, seeds: int, sweep: Sweep) -> None:
-    determinism_ok = True
-    try:
-        for n in range(1, min(n_max, 5) + 1):
-            for p in range(1, n + 1):
-                schedule_independence(n, p, seeds)
-    except AssertionError:
-        determinism_ok = False
-    report.add("random schedules agree with passes", f"n<=min({n_max},5), {seeds} seeds", True, determinism_ok)
-    sym_ok = True
-    passes_ok = True
-    arms_ok = True
-    first_pass_counts = set()
-    for (n, p), tally in sweep.items():
-        if n > ENGINE_N:
-            continue
-        if tally["mirror commutes", False]:
-            sym_ok = False
-        if tally["passes", min(p, n - p + 1)] != configuration_count(n):
-            passes_ok = False
-        if tally["arms frozen", False]:
-            arms_ok = False
-        first_pass_counts.update(_observed(tally, "first pass"))
+    read = f"n<=min({n_max},{READING_N}), {seeds} seeds"
+    report.add("random schedules agree with passes", read, True, _always(sweep, "schedules agree"))
+    passes_ok = all(
+        tally["passes", min(p, n - p + 1)] == configuration_count(n)
+        for (n, p), tally in sweep.items()
+        if n <= ENGINE_N
+    )
+    first_pass_counts = set().union(*(_observed(tally, "first pass") for tally in sweep.values()))
     swept = f"n<=min({n_max},{ENGINE_N})"
-    report.add("reverse-complement commutes with the resultant", swept, True, sym_ok)
+    report.add("reverse-complement commutes with the resultant", swept, True, _always(sweep, "mirror commutes"))
     report.add("pass count is min(p, n-p+1)", swept, True, passes_ok)
-    report.add("arms are frozen prefixes/suffixes of the final state", swept, True, arms_ok)
+    report.add("arms are frozen prefixes/suffixes of the final state", swept, True, _always(sweep, "arms frozen"))
     report.note(
         "first pass comprises n topplings (text says n+1)",
         "offset of measured count from n",
@@ -766,28 +778,16 @@ def _verify_engine(report: VerifyReport, n_max: int, seeds: int, sweep: Sweep) -
 
 
 def _verify_correspondences(report: VerifyReport, n_max: int, sweep: Sweep) -> None:
-    ok_window = ok_callan = True
+    ok_callan = True
     for n in range(1, min(n_max, READING_N) + 1):
         counts = families.count_families(n + 1)
         for p in range(1, n + 1):
-            tally = sweep[n, p]
-            if tally["reading window", False]:
-                ok_window = False
             for r in range(1, n + 2):
-                if tally["rp toppleable", r] != counts["callan_first", n - p + 1, p, r]:
+                if sweep[n, p]["rp toppleable", r] != counts["callan_first", n - p + 1, p, r]:
                     ok_callan = False
-    report.add(
-        "toppleable permutations map onto windowed readings",
-        f"n<=min({n_max},5)",
-        True,
-        ok_window,
-    )
-    report.add(
-        "toppleable count equals Callan words with fixed first letter",
-        f"n<=min({n_max},5)",
-        True,
-        ok_callan,
-    )
+    read = f"n<=min({n_max},{READING_N})"
+    report.add("toppleable permutations map onto windowed readings", read, True, _always(sweep, "reading window"))
+    report.add("toppleable count equals Callan words with fixed first letter", read, True, ok_callan)
     window_equiv = all(
         characterize.is_all_r_toppleable(perm, p)
         == all(characterize.is_rp_toppleable(perm, r, p) for r in range(1, n + 2))
@@ -902,7 +902,7 @@ def _verify_bijections(report: VerifyReport) -> None:
     report.add("record-skeleton reduction is a fiber bijection", "n<=5", True, phi_ok)
 
 
-def _verify_core(report: VerifyReport, n_max: int) -> None:
+def _verify_core(report: VerifyReport, n_max: int, sweep: Sweep) -> None:
     stirling1: dict[tuple[int, int], int] = {(0, 0): 1}
     for n in range(1, 8):
         for k in range(0, n + 1):
@@ -924,22 +924,9 @@ def _verify_core(report: VerifyReport, n_max: int) -> None:
         for perm in iter_permutations(n)
     )
     report.add("left-record values become right-minimum positions under inversion", f"n<=min({n_max},6)", True, inv_ok)
-    lift_ok = True
-    rc_ok = True
-    for n in range(1, min(n_max, 5) + 1):
-        for p in range(1, n + 1):
-            for config in enumerate_configurations(n, p):
-                pairs = unlift(config)
-                if len(pairs) != 2:
-                    lift_ok = False
-                for perm, r in pairs:
-                    if lift(perm, r, p).config != config:
-                        lift_ok = False
-                mirrored = reverse_complement(config)
-                if mirrored.p != n + 1 - p or reverse_complement(mirrored) != config:
-                    rc_ok = False
-    report.add("the two unlift readings invert lift", f"n<=min({n_max},5)", True, lift_ok)
-    report.add("reverse-complement is an involution onto S(n,n+1-p)", f"n<=min({n_max},5)", True, rc_ok)
+    read = f"n<=min({n_max},{READING_N})"
+    report.add("the two unlift readings invert lift", read, True, _always(sweep, "lift inverts unlift"))
+    report.add("reverse-complement is an involution onto S(n,n+1-p)", read, True, _always(sweep, "mirror involution"))
 
 
 def verify_identities(n_max: int = 7, jobs: int = 1, seeds: int = 5) -> VerifyReport:
@@ -949,23 +936,27 @@ def verify_identities(n_max: int = 7, jobs: int = 1, seeds: int = 5) -> VerifyRe
     only on unexplained mismatches; known printed-table glitches are
     emitted as documented discrepancies.
     """
-    # one toppling per configuration of S(n,p), read by every section that
-    # checks a fact about S(n,p)
-    sweep: Sweep = {
-        (n, p): _parallel_sum(_sweep_chunk, (n, p), configuration_count(n), jobs)
-        for n in range(1, min(n_max, CONFIG_CAP) + 1)
-        for p in range(1, n + 1)
-    }
+    # one pool: one toppling per configuration of S(n,p), read by every
+    # section that checks a fact about S(n,p), and the all-r counts
+    swept = [(n, p) for n in range(1, min(n_max, CONFIG_CAP) + 1) for p in range(1, n + 1)]
+    counted = [(n, p) for n in range(1, min(n_max, PERM_CAP) + 1) for p in range(1, n + 1)]
+    sums = _parallel_sum(
+        [(_sweep_chunk, (n, p, seeds), configuration_count(n)) for n, p in swept]
+        + [_all_r_item(n, p) for n, p in counted],
+        jobs,
+    )
+    sweep: Sweep = dict(zip(swept, sums))
+    all_r = dict(zip(counted, sums[len(swept) :]))
     report = VerifyReport(n_max=n_max)
     _verify_kernel(report)
     _verify_toppleable(report, sweep)
     _verify_rp_toppleable(report, n_max, sweep)
-    _verify_all_r(report, n_max, jobs)
+    _verify_all_r(report, all_r)
     _verify_resultants(report, n_max, sweep)
     _verify_marked(report, n_max, sweep)
     _verify_engine(report, n_max, seeds, sweep)
     _verify_correspondences(report, n_max, sweep)
     _verify_families(report)
     _verify_bijections(report)
-    _verify_core(report, n_max)
+    _verify_core(report, n_max, sweep)
     return report

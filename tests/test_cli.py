@@ -327,6 +327,11 @@ class TestTables:
         result = run(runner, "tables", "--which", "T-array")
         assert result.exit_code == 2
 
+    def test_no_jobs_option(self, runner):
+        result = run(runner, "tables", "--which", "1a", "--jobs", "2")
+        assert result.exit_code == 2
+        assert len([line for line in result.output.splitlines() if line.startswith("Error:")]) == 1
+
     @pytest.mark.parametrize(
         "args,exit_code",
         [

@@ -1,12 +1,13 @@
 import hashlib
 import json
+from concurrent.futures import Future
 from itertools import permutations
 from math import factorial
 
 import pytest
 
 from chiptopple import harness
-from chiptopple.core import Configuration
+from chiptopple.core import Configuration, lift, parse_configuration
 from chiptopple.families import CapExceeded
 from chiptopple.harness import (
     DOCUMENTED,
@@ -27,6 +28,34 @@ from chiptopple.harness import (
     verify_identities,
 )
 from conftest import oracle_configurations
+
+
+@pytest.fixture()
+def in_process_pools(monkeypatch):
+    """Two CPUs, and a process pool that runs each task in process and records it."""
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.tasks = []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, task):
+            self.tasks.append(task)
+            done = Future()
+            done.set_result(fn(task))
+            return done
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    return pools
 
 
 class TestRanking:
@@ -125,43 +154,31 @@ class TestBruteCounts:
         with pytest.raises(ValueError):
             count()
 
-    def test_chunks_follow_the_workers(self, monkeypatch):
+    def test_chunks_follow_the_workers(self, in_process_pools):
         # a huge --jobs on two CPUs cuts four chunks per worker started,
         # not per job asked for; the fake pool runs them in process
-        pools = []
+        def span(args):
+            return args[2] - args[1]
 
-        class FakePool:
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-                self.tasks = []
-                pools.append(self)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                self.tasks.extend(tasks)
-                return map(fn, self.tasks)
-
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
-        total = harness._parallel_sum(lambda args: args[2] - args[1], ("tag",), 100, 2000)
-        assert total == 100
-        [pool] = pools
+        assert harness._parallel_sum([(span, ("tag",), 100)], 2000) == [100]
+        [pool] = in_process_pools
         assert pool.max_workers == 2
         assert len(pool.tasks) == 8
         assert [task[1:] for task in pool.tasks] == harness._chunked(100, 8)
         assert all(task[0] == "tag" for task in pool.tasks)
+        # two items share one pool and keep their own sums
+        in_process_pools.clear()
+        assert harness._parallel_sum([(span, ("a",), 100), (span, ("b",), 10)], 2000) == [100, 10]
+        [pool] = in_process_pools
+        assert [task[1:] for task in pool.tasks] == harness._chunked(100, 8) + harness._chunked(10, 8)
 
     @pytest.mark.parametrize("n,p", [(3, 2), (4, 1), (5, 3)])
     def test_sweep_merges_like_one_chunk(self, monkeypatch, n, p):
         # two CPUs, so jobs=2 merges the chunks of a two-worker pool
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-        serial = harness._parallel_sum(harness._sweep_chunk, (n, p), configuration_count(n), 1)
-        merged = harness._parallel_sum(harness._sweep_chunk, (n, p), configuration_count(n), 2)
+        item = (harness._sweep_chunk, (n, p, 2), configuration_count(n))
+        [serial] = harness._parallel_sum([item], 1)
+        [merged] = harness._parallel_sum([item], 2)
         assert merged == serial
         assert sum(harness._observed(merged, "resultant").values()) == configuration_count(n)
 
@@ -169,7 +186,10 @@ class TestBruteCounts:
         "n,p", [(n, p) for n in range(1, 6) for p in range(1, n + 1)] + [(6, 1), (6, 3)]
     )
     def test_sweep_readings_match_the_public_counters(self, n, p):
-        tally = harness._sweep_chunk((n, p, 0, configuration_count(n)))
+        tally = harness._sweep_chunk((n, p, 3, 0, configuration_count(n)))
+        for fact in ("schedules agree", "lift inverts unlift", "mirror involution"):
+            expected = {True: configuration_count(n)} if n <= harness.READING_N else {}
+            assert harness._observed(tally, fact) == expected
         for r in range(1, n + 2):
             assert tally["rp toppleable", r] == brute_T(n, p, r)
             marked = harness._observed(tally, ("marked", r))
@@ -274,6 +294,49 @@ class TestVerifyReport:
         assert {item["status"] for item in payload["items"]} <= {
             "match", "mismatch", "documented-discrepancy"
         }
+
+    @pytest.mark.parametrize("n_max", [2, 4, 6])
+    def test_one_pool_per_run(self, in_process_pools, n_max):
+        verify_identities(n_max, jobs=2, seeds=1)
+        assert [pool.max_workers for pool in in_process_pools] == [2]
+
+    def test_one_job_starts_no_pool(self, in_process_pools):
+        verify_identities(4, jobs=1, seeds=1)
+        assert in_process_pools == []
+
+    def test_pool_gives_the_same_bytes(self):
+        assert verify_identities(4, jobs=2).to_json() == verify_identities(4, jobs=1).to_json()
+
+    @pytest.mark.parametrize(
+        "name,claims",
+        [
+            ("stabilize_random", ["random schedules agree with passes"]),
+            ("lift", ["the two unlift readings invert lift"]),
+            (
+                "reverse_complement",
+                [
+                    "reverse-complement commutes with the resultant",
+                    "reverse-complement is an involution onto S(n,n+1-p)",
+                ],
+            ),
+        ],
+    )
+    def test_a_folded_check_still_fails(self, monkeypatch, name, claims):
+        # break the function on one configuration of S(3,2): exactly the
+        # claims that read it turn into mismatches
+        real = getattr(harness, name)
+        target, other = parse_configuration("1,(2,3),4"), parse_configuration("4,(2,3),1")
+
+        def broken_on_config(config, *args):
+            return real(other if config == target else config, *args)
+
+        def broken_lift(perm, r, p):
+            marked = real(perm, r, p)
+            return lift((3, 2, 1), r, p) if marked.config == target else marked
+
+        monkeypatch.setattr(harness, name, broken_lift if name == "lift" else broken_on_config)
+        report = verify_identities(n_max=3, seeds=2)
+        assert [item.claim for item in report.items if item.status == MISMATCH] == claims
 
     def test_text_format_mentions_counts(self):
         report = verify_identities(n_max=2, seeds=1)
