@@ -43,9 +43,6 @@ class FinalState:
         """The resultant: occupancy read left to right, skipping the hole."""
         return tuple(c for c in self.occupancy if c != 0)
 
-    def is_sorted(self) -> bool:
-        return self.permutation() == tuple(range(1, self.n + 2))
-
 
 @dataclasses.dataclass(frozen=True)
 class PassSnapshot:

@@ -299,7 +299,7 @@ def count_acyclic_orientations(n: int, k: int, mode: str = "all") -> int:
 
     mode 'all' counts every AO; 'unique_sink_anywhere' keeps those with
     exactly one sink; 'unique_sink_fixed_vertex' keeps those whose unique
-    sink is the first vertex of the n-side part.
+    sink is the first vertex of the n-side part (none when n = 0).
     """
     if mode not in ("all", "unique_sink_anywhere", "unique_sink_fixed_vertex"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -335,6 +335,6 @@ def count_acyclic_orientations(n: int, k: int, mode: str = "all") -> int:
         sinks = [v for v in range(vertices) if not out[v]]
         if mode == "unique_sink_anywhere" and len(sinks) == 1:
             total += 1
-        elif mode == "unique_sink_fixed_vertex" and sinks == [0]:
+        elif mode == "unique_sink_fixed_vertex" and n >= 1 and sinks == [0]:
             total += 1
     return total

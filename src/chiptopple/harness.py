@@ -114,7 +114,7 @@ def _count_chunk(args: tuple[Callable, Callable, tuple, int, int]) -> int:
 
 def _sorts(config: Configuration) -> bool:
     """Does config topple to the sorted arrangement? (the simulating oracle)"""
-    return stabilize_passes(config)[0].is_sorted()
+    return resultant(config)[0] == tuple(range(1, config.n + 2))
 
 
 def _sweep_chunk(args: tuple[int, int, int, int, int]) -> Counter:
@@ -440,7 +440,13 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+def _clipped(n_max: int, bound: int) -> tuple[range, str]:
+    """The sizes 1..min(n_max, bound) of a claim checked up to bound, and its label."""
+    return range(1, min(n_max, bound) + 1), f"n<=min({n_max},{bound})"
+
+
 def _verify_kernel(report: VerifyReport) -> None:
+    b, c = polybernoulli.b_number, polybernoulli.c_number
     b_table = [
         [1, 1, 1, 1, 1, 1],
         [1, 2, 4, 8, 16, 32],
@@ -457,84 +463,36 @@ def _verify_kernel(report: VerifyReport) -> None:
         [1, 15, 115, 675, 3451, 16275],
         [1, 31, 391, 3451, 25231, 164731],
     ]
-    report.add(
-        "type B table 0..5",
-        "",
-        b_table,
-        [[polybernoulli.b_number(n, k) for k in range(6)] for n in range(6)],
-    )
-    report.add(
-        "type C table 0..5",
-        "",
-        c_table,
-        [[polybernoulli.c_number(n, k) for k in range(6)] for n in range(6)],
-    )
-    report.note(
-        "printed B(4,4) vs every formula and the brute Vesztergombi count",
-        "",
-        PRINTED_B44,
-        polybernoulli.b_number(4, 4),
-    )
+    report.add("type B table 0..5", "", b_table, [[b(n, k) for k in range(6)] for n in range(6)])
+    report.add("type C table 0..5", "", c_table, [[c(n, k) for k in range(6)] for n in range(6)])
+    report.note("printed B(4,4) vs every formula and the brute Vesztergombi count", "", PRINTED_B44, b(4, 4))
     agree = all(
-        len(
-            {
-                polybernoulli.poly_bernoulli_B(n, k, method)
-                for method in polybernoulli.METHODS
-            }
-        )
-        == 1
-        and len(
-            {
-                polybernoulli.poly_bernoulli_C(n, k, method)
-                for method in polybernoulli.METHODS
-            }
-        )
-        == 1
+        len({polybernoulli.poly_bernoulli_B(n, k, method) for method in polybernoulli.METHODS}) == 1
+        and len({polybernoulli.poly_bernoulli_C(n, k, method) for method in polybernoulli.METHODS}) == 1
         for n in range(13)
         for k in range(13)
     )
     report.add("three-method agreement 0..12", "", True, agree)
     report.add(
-        "B symmetry B(n,k)=B(k,n)",
-        "0..12",
-        True,
-        all(
-            polybernoulli.b_number(n, k) == polybernoulli.b_number(k, n)
-            for n in range(13)
-            for k in range(13)
-        ),
+        "B symmetry B(n,k)=B(k,n)", "0..12", True, all(b(n, k) == b(k, n) for n in range(13) for k in range(13))
     )
     report.add(
         "C symmetry C(n+1,k)=C(k+1,n)",
         "0..12",
         True,
-        all(
-            polybernoulli.c_number(n + 1, k) == polybernoulli.c_number(k + 1, n)
-            for n in range(12)
-            for k in range(12)
-        ),
+        all(c(n + 1, k) == c(k + 1, n) for n in range(12) for k in range(12)),
     )
     report.add(
         "B(n,k) = sum_i binom(k,i) C(n,i)",
         "0..10",
         True,
-        all(
-            polybernoulli.b_number(n, k)
-            == sum(comb(k, i) * polybernoulli.c_number(n, i) for i in range(k + 1))
-            for n in range(11)
-            for k in range(11)
-        ),
+        all(b(n, k) == sum(comb(k, i) * c(n, i) for i in range(k + 1)) for n in range(11) for k in range(11)),
     )
     report.add(
         "B(n,k) = C(n,k) + C(n+1,k-1)",
         "k>=1, 0..10",
         True,
-        all(
-            polybernoulli.b_number(n, k)
-            == polybernoulli.c_number(n, k) + polybernoulli.c_number(n + 1, k - 1)
-            for n in range(11)
-            for k in range(1, 11)
-        ),
+        all(b(n, k) == c(n, k) + c(n + 1, k - 1) for n in range(11) for k in range(1, 11)),
     )
     # the alternating inverse relation holds with the C indices transposed
     report.add(
@@ -542,10 +500,7 @@ def _verify_kernel(report: VerifyReport) -> None:
         "Delta^n B(0,k) = C(k,n), 0..10",
         True,
         all(
-            polybernoulli.forward_difference(
-                lambda i, k=k: polybernoulli.b_number(i, k), n, 0
-            )
-            == polybernoulli.c_number(k, n)
+            polybernoulli.forward_difference(lambda i, k=k: b(i, k), n, 0) == c(k, n)
             for n in range(11)
             for k in range(11)
         ),
@@ -553,41 +508,32 @@ def _verify_kernel(report: VerifyReport) -> None:
     report.note(
         "printed inverse relation C(n,k) = (-1)^n sum_i (-1)^i binom(n,i) B(i,k)",
         "(n,k)=(2,3)",
-        polybernoulli.c_number(2, 3),
-        sum((-1) ** i * comb(2, i) * polybernoulli.b_number(i, 3) for i in range(3)),
+        c(2, 3),
+        sum((-1) ** i * comb(2, i) * b(i, 3) for i in range(3)),
     )
     report.add(
         "parity: B(n,k) even for n,k >= 1",
         "1..10",
         True,
-        all(
-            polybernoulli.b_number(n, k) % 2 == 0 for n in range(1, 11) for k in range(1, 11)
-        ),
+        all(b(n, k) % 2 == 0 for n in range(1, 11) for k in range(1, 11)),
     )
-    report.add(
-        "B(n,1) = 2^n",
-        "0..12",
-        True,
-        all(polybernoulli.b_number(n, 1) == 2**n for n in range(13)),
-    )
+    report.add("B(n,1) = 2^n", "0..12", True, all(b(n, 1) == 2**n for n in range(13)))
 
 
 def _verify_toppleable(report: VerifyReport, sweep: Sweep) -> None:
-    computed_rows: dict[int, tuple[int, ...]] = {}
+    formula = {(n, p): polybernoulli.count_toppleable_configs(n, p) for n, p in sweep}
     for (n, p), tally in sweep.items():
         simulated = tally["resultant", tuple(range(1, n + 2))]
-        formula = polybernoulli.count_toppleable_configs(n, p)
-        report.add("toppleable configurations", f"n={n} p={p}", formula, simulated)
+        report.add("toppleable configurations", f"n={n} p={p}", formula[n, p], simulated)
         report.add("window oracle agrees with simulation", f"n={n} p={p}", simulated, tally["window", True])
-        computed_rows[n] = computed_rows.get(n, ()) + (formula,)
     for label, printed in PRINTED_TABLE2_ROWS.items():
-        actual_n = label + 1
-        if actual_n in computed_rows:
+        n = label + 1
+        if (n, 1) in formula:
             report.note(
                 "printed toppleable-count row label off by one",
-                f"printed row n={label} equals computed n={actual_n}",
+                f"printed row n={label} equals computed n={n}",
                 printed,
-                computed_rows[actual_n],
+                tuple(formula[n, p] for p in range(1, n + 1)),
             )
 
 
@@ -607,66 +553,46 @@ T_TABLE_N4 = (
 
 
 def _verify_rp_toppleable(report: VerifyReport, n_max: int, sweep: Sweep) -> None:
+    count = polybernoulli.count_rp_toppleable
+    cells = {n: [(p, r) for p in range(1, n + 1) for r in range(1, n + 2)] for n in range(1, n_max + 1)}
+    swept = range(1, min(n_max, ENGINE_N) + 1)
+    delta = {(n, p, r): count(n, p, r, "delta") for n in swept for p, r in cells[n]}
     for n, table in ((4, T_TABLE_N4), (5, T_TABLE_N5)):
-        built = tuple(
-            tuple(polybernoulli.count_rp_toppleable(n, p, r) for r in range(1, n + 2))
-            for p in range(1, n + 1)
-        )
+        built = tuple(tuple(count(n, p, r) for r in range(1, n + 2)) for p in range(1, n + 1))
         report.add("printed (r,p)-toppleable table", f"n={n}", table, built)
-    for n in range(1, min(n_max, ENGINE_N) + 1):
-        ok_brute = ok_csum = True
-        for p in range(1, n + 1):
-            for r in range(1, n + 2):
-                delta = polybernoulli.count_rp_toppleable(n, p, r, "delta")
-                if delta != polybernoulli.count_rp_toppleable(n, p, r, "c_sum"):
-                    ok_csum = False
-                if delta != sweep[n, p]["rp toppleable", r]:
-                    ok_brute = False
-        report.add("difference formula vs brute force", f"n={n}, all (p,r)", True, ok_brute)
-        report.add("difference formula vs C-number sums", f"n={n}, all (p,r)", True, ok_csum)
+    for n in swept:
+        brute = all(delta[n, p, r] == sweep[n, p]["rp toppleable", r] for p, r in cells[n])
+        c_sum = all(delta[n, p, r] == count(n, p, r, "c_sum") for p, r in cells[n])
+        report.add("difference formula vs brute force", f"n={n}, all (p,r)", True, brute)
+        report.add("difference formula vs C-number sums", f"n={n}, all (p,r)", True, c_sum)
     for n in range(2, n_max + 1):
-        sums_ok = all(
-            sum(
-                polybernoulli.count_rp_toppleable(n, p, r) for r in range(1, n - p + 2)
-            )
-            == polybernoulli.c_number(n - p + 1, p)
+        low = all(
+            sum(count(n, p, r) for r in range(1, n - p + 2)) == polybernoulli.c_number(n - p + 1, p)
             for p in range(1, n + 1)
         )
-        report.add("low-r sum is C(n-p+1,p)", f"n={n}", True, sums_ok)
-        high_ok = all(
-            sum(
-                polybernoulli.count_rp_toppleable(n, p, r) for r in range(n - p + 2, n + 2)
-            )
-            == polybernoulli.c_number(p, n - p + 1)
+        high = all(
+            sum(count(n, p, r) for r in range(n - p + 2, n + 2)) == polybernoulli.c_number(p, n - p + 1)
             for p in range(1, n + 1)
         )
-        report.add("high-r sum is C(p,n-p+1) (upper limit n+1)", f"n={n}", True, high_ok)
-    recursion_ok = True
-    for n in range(2, n_max + 1):
-        for p in range(1, n + 1):
-            for r in range(1, n + 2):
-                value = polybernoulli.count_rp_toppleable(n, p, r)
-                if r <= n - p + 1 and p <= n - 1:
-                    expect = sum(
-                        polybernoulli.count_rp_toppleable(n - 1, p, i) for i in range(r, n + 1)
-                    )
-                elif r > n - p + 1 and p >= 2:
-                    expect = sum(
-                        polybernoulli.count_rp_toppleable(n - 1, p - 1, i)
-                        for i in range(1, r)
-                    )
-                else:
-                    continue
-                if value != expect:
-                    recursion_ok = False
-    report.add("deletion recursion for the counts", f"n<=%d" % n_max, True, recursion_ok)
+        report.add("low-r sum is C(n-p+1,p)", f"n={n}", True, low)
+        report.add("high-r sum is C(p,n-p+1) (upper limit n+1)", f"n={n}", True, high)
+    values = {(n, p, r): count(n, p, r) for n in range(2, n_max + 1) for p, r in cells[n]}
+    recursion = all(
+        value
+        == (
+            sum(count(n - 1, p, i) for i in range(r, n + 1))
+            if r <= n - p + 1
+            else sum(count(n - 1, p - 1, i) for i in range(1, r))
+        )
+        for (n, p, r), value in values.items()
+        if (p <= n - 1 if r <= n - p + 1 else p >= 2)  # it says nothing at (p,r) = (n,1) and (1,n+1)
+    )
+    report.add("deletion recursion for the counts", f"n<={n_max}", True, recursion)
 
 
 def _verify_all_r(report: VerifyReport, all_r: dict[tuple[int, int], int]) -> None:
-    ok: dict[int, bool] = {}
-    for (n, p), count in all_r.items():
-        ok[n] = ok.get(n, True) and count == polybernoulli.count_all_r_toppleable(n, p)
-    for n, agree in ok.items():
+    for n in dict.fromkeys(n for n, _ in all_r):
+        agree = all(count == polybernoulli.count_all_r_toppleable(m, p) for (m, p), count in all_r.items() if m == n)
         report.add("all-r toppleable count is C(p,n-p)", f"n={n}", True, agree)
 
 
@@ -679,32 +605,27 @@ S32_FIBERS = {
 
 
 def _verify_resultants(report: VerifyReport, n_max: int, sweep: Sweep) -> None:
-    for n in range(2, min(n_max, CONFIG_CAP) + 1):
-        empty_ok = True
-        support_ok = True
-        class_ok = True
-        sum_ok = True
-        for p in range(1, n):
-            tally = sweep[n, p]
-            if tally["empty site", n - p + 1] != configuration_count(n):
-                empty_ok = False
-            fibers = _observed(tally, "resultant")
-            expected = {
-                perm
-                for perm in iter_permutations(n + 1)
-                if families.is_p_resultant(perm, p)
-            }
-            if set(fibers) != expected:
-                support_ok = False
-            for perm, size in fibers.items():
-                if size != polybernoulli.count_resultant_class(*record_class(perm, p)):
-                    class_ok = False
-            if sum(fibers.values()) != configuration_count(n):
-                sum_ok = False
-        report.add("empty site lands on n-p+1", f"n={n}", True, empty_ok)
-        report.add("resultant support equals decomposable-prefix set", f"n={n}", True, support_ok)
-        report.add("fiber sizes are B(i,j)/2", f"n={n}", True, class_ok)
-        report.add("fibers sum to (n+1)!/2", f"n={n}", True, sum_ok)
+    # the resultants of S(n,p) for p < n, by n
+    fibers = {
+        n: [(p, _observed(sweep[n, p], "resultant")) for p in range(1, n)]
+        for n in range(2, min(n_max, CONFIG_CAP) + 1)
+    }
+    for n, split in fibers.items():
+        empty = all(sweep[n, p]["empty site", n - p + 1] == configuration_count(n) for p, _ in split)
+        support = all(
+            set(fiber) == {perm for perm in iter_permutations(n + 1) if families.is_p_resultant(perm, p)}
+            for p, fiber in split
+        )
+        classes = all(
+            size == polybernoulli.count_resultant_class(*record_class(perm, p))
+            for p, fiber in split
+            for perm, size in fiber.items()
+        )
+        summed = all(sum(fiber.values()) == configuration_count(n) for _, fiber in split)
+        report.add("empty site lands on n-p+1", f"n={n}", True, empty)
+        report.add("resultant support equals decomposable-prefix set", f"n={n}", True, support)
+        report.add("fiber sizes are B(i,j)/2", f"n={n}", True, classes)
+        report.add("fibers sum to (n+1)!/2", f"n={n}", True, summed)
     table = resultant_table(6, 2)
     report.add(
         "fiber-class array for resultants in S_6 at p=2",
@@ -732,32 +653,32 @@ def _verify_marked(report: VerifyReport, n_max: int, sweep: Sweep) -> None:
         sizes = fiber_classes(resultant_counts_marked(6, 3, r), lambda perm: record_class(perm, 3))
         built = tuple(tuple(sizes[i, j] for j in (1, 2, 3)) for i in (1, 2, 3))
         report.add("marked fiber table for resultants in S_6, p=3", f"r={r}", N6_P3_TABLE, built)
-    # resultants in S_n of the readings of S(n-1,p)
-    for n in range(2, min(n_max, READING_N + 1) + 1):
-        ok_formula = ok_keys = ok_sum = True
-        for p in range(1, n):
-            for r in range(1, n + 1):
-                fibers = _observed(sweep[n - 1, p], ("marked", r))
-                if sum(fibers.values()) != factorial(n - 1):
-                    ok_sum = False
-                expected_keys = {
-                    perm
-                    for perm in iter_permutations(n)
-                    if families.is_p_resultant(perm, p)
-                    and families.validate_r_placement(perm, p, r)
-                }
-                if set(fibers) != expected_keys:
-                    ok_keys = False
-                for perm, count in fibers.items():
-                    if count != polybernoulli.count_N_pi(perm, r, p):
-                        ok_formula = False
-        report.add("marked fibers keyed by the record placement rule", f"n={n}", True, ok_keys)
-        report.add("marked fibers match the difference formula", f"n={n}", True, ok_formula)
-        report.add("marked fibers sum to (n-1)!", f"n={n}", True, ok_sum)
+    # resultants in S_n of the readings of S(n-1,p), by n
+    fibers = {
+        n: [(p, r, _observed(sweep[n - 1, p], ("marked", r))) for p in range(1, n) for r in range(1, n + 1)]
+        for n in range(2, min(n_max, READING_N + 1) + 1)
+    }
+    decomposable = {
+        (n, p): [perm for perm in iter_permutations(n) if families.is_p_resultant(perm, p)]
+        for n in fibers
+        for p in range(1, n)
+    }
+    for n, marked in fibers.items():
+        keyed = all(
+            set(fiber) == {perm for perm in decomposable[n, p] if families.validate_r_placement(perm, p, r)}
+            for p, r, fiber in marked
+        )
+        formula = all(
+            count == polybernoulli.count_N_pi(perm, r, p) for p, r, fiber in marked for perm, count in fiber.items()
+        )
+        summed = all(sum(fiber.values()) == factorial(n - 1) for _, _, fiber in marked)
+        report.add("marked fibers keyed by the record placement rule", f"n={n}", True, keyed)
+        report.add("marked fibers match the difference formula", f"n={n}", True, formula)
+        report.add("marked fibers sum to (n-1)!", f"n={n}", True, summed)
 
 
 def _verify_engine(report: VerifyReport, n_max: int, seeds: int, sweep: Sweep) -> None:
-    read = f"n<=min({n_max},{READING_N}), {seeds} seeds"
+    read = f"{_clipped(n_max, READING_N)[1]}, {seeds} seeds"
     report.add("random schedules agree with passes", read, True, _always(sweep, "schedules agree"))
     passes_ok = all(
         tally["passes", min(p, n - p + 1)] == configuration_count(n)
@@ -765,7 +686,7 @@ def _verify_engine(report: VerifyReport, n_max: int, seeds: int, sweep: Sweep) -
         if n <= ENGINE_N
     )
     first_pass_counts = set().union(*(_observed(tally, "first pass") for tally in sweep.values()))
-    swept = f"n<=min({n_max},{ENGINE_N})"
+    swept = _clipped(n_max, ENGINE_N)[1]
     report.add("reverse-complement commutes with the resultant", swept, True, _always(sweep, "mirror commutes"))
     report.add("pass count is min(p, n-p+1)", swept, True, passes_ok)
     report.add("arms are frozen prefixes/suffixes of the final state", swept, True, _always(sweep, "arms frozen"))
@@ -777,62 +698,74 @@ def _verify_engine(report: VerifyReport, n_max: int, seeds: int, sweep: Sweep) -
     )
 
 
-def _verify_correspondences(report: VerifyReport, n_max: int, sweep: Sweep) -> None:
-    ok_callan = True
-    for n in range(1, min(n_max, READING_N) + 1):
-        counts = families.count_families(n + 1)
-        for p in range(1, n + 1):
-            for r in range(1, n + 2):
-                if sweep[n, p]["rp toppleable", r] != counts["callan_first", n - p + 1, p, r]:
-                    ok_callan = False
-    read = f"n<=min({n_max},{READING_N})"
+def _verify_correspondences(
+    report: VerifyReport, n_max: int, sweep: Sweep, family_counts: dict[int, Counter]
+) -> None:
+    sizes, read = _clipped(n_max, READING_N)
+    callan = all(
+        sweep[n, p]["rp toppleable", r] == family_counts[n + 1]["callan_first", n - p + 1, p, r]
+        for n in sizes
+        for p in range(1, n + 1)
+        for r in range(1, n + 2)
+    )
     report.add("toppleable permutations map onto windowed readings", read, True, _always(sweep, "reading window"))
-    report.add("toppleable count equals Callan words with fixed first letter", read, True, ok_callan)
-    window_equiv = all(
+    report.add("toppleable count equals Callan words with fixed first letter", read, True, callan)
+    sizes, label = _clipped(n_max, 6)
+    window = all(
         characterize.is_all_r_toppleable(perm, p)
         == all(characterize.is_rp_toppleable(perm, r, p) for r in range(1, n + 2))
-        for n in range(1, min(n_max, 6) + 1)
+        for n in sizes
         for p in range(1, n + 1)
         for perm in iter_permutations(n)
     )
+    report.add("inverse window equals toppleability for every r", label, True, window)
+
+
+def _verify_families(report: VerifyReport, family_counts: dict[int, Counter]) -> None:
+    b, c = polybernoulli.b_number, polybernoulli.c_number
+    # (n, k, counts of size n+k) for every split of every size
+    splits = [(total - k, k, counts) for total, counts in family_counts.items() for k in range(1, total)]
+    every = f"sizes<={max(family_counts)}"
+    first = 7  # Callan first letters are checked up to this size
     report.add(
-        "inverse window equals toppleability for every r",
-        f"n<=min({n_max},6)",
+        "Vesztergombi counts are B(n,k)",
+        every,
         True,
-        window_equiv,
+        all(counts["vesztergombi", k, n] == b(n, k) for n, k, counts in splits),
     )
-
-
-def _verify_families(report: VerifyReport) -> None:
-    vesz_ok = callan_ok = callan_sym_ok = True
-    first_ok = window_ok = exc_ok = True
-    for total in range(2, 9):
-        counts = families.count_families(total)
-        for k in range(1, total):
-            n = total - k
-            if counts["vesztergombi", k, n] != polybernoulli.b_number(n, k):
-                vesz_ok = False
-            if counts["callan", k, n] != polybernoulli.b_number(k, n):
-                callan_ok = False
-            if counts["callan", k, n] != counts["callan", n, k]:
-                callan_sym_ok = False
-            if total <= 7:
-                first_underlined = sum(counts["callan_first", k, n, r] for r in range(1, k + 1))
-                if first_underlined != polybernoulli.c_number(k, n):
-                    first_ok = False
-            if counts["window_c", n, k] != polybernoulli.c_number(n, k):
-                window_ok = False
-            if counts["excedance_set", n, k] != polybernoulli.c_number(n, k):
-                exc_ok = False
-    report.add("Vesztergombi counts are B(n,k)", "sizes<=8", True, vesz_ok)
-    report.add("Callan counts are B(U,O)", "sizes<=8", True, callan_ok)
-    report.add("Callan underline/overline symmetry", "sizes<=8", True, callan_sym_ok)
-    report.add("Callan words starting underlined are C(U,O)", "sizes<=7", True, first_ok)
-    report.add("half-open window counts are C(n,k)", "sizes<=8", True, window_ok)
-    report.add("excedance-set counts are C(n,k)", "sizes<=8", True, exc_ok)
+    report.add(
+        "Callan counts are B(U,O)", every, True, all(counts["callan", k, n] == b(k, n) for n, k, counts in splits)
+    )
+    report.add(
+        "Callan underline/overline symmetry",
+        every,
+        True,
+        all(counts["callan", k, n] == counts["callan", n, k] for n, k, counts in splits),
+    )
+    report.add(
+        "Callan words starting underlined are C(U,O)",
+        f"sizes<={first}",
+        True,
+        all(
+            sum(counts["callan_first", k, n, r] for r in range(1, k + 1)) == c(k, n)
+            for n, k, counts in splits
+            if n + k <= first
+        ),
+    )
+    report.add(
+        "half-open window counts are C(n,k)",
+        every,
+        True,
+        all(counts["window_c", n, k] == c(n, k) for n, k, counts in splits),
+    )
+    report.add(
+        "excedance-set counts are C(n,k)",
+        every,
+        True,
+        all(counts["excedance_set", n, k] == c(n, k) for n, k, counts in splits),
+    )
     ao_ok = all(
-        families.count_acyclic_orientations(n, k)
-        == polybernoulli.b_number(n, k)
+        families.count_acyclic_orientations(n, k) == b(n, k)
         for n in range(1, 5)
         for k in range(1, 5)
         if n * k <= 16
@@ -842,9 +775,44 @@ def _verify_families(report: VerifyReport) -> None:
         report.note(
             "unique-sink orientation count vs C(n,k)",
             f"(2,2) mode={mode}",
-            polybernoulli.c_number(2, 2),
+            c(2, 2),
             families.count_acyclic_orientations(2, 2, mode),
         )
+
+
+def _callan_round_trips(total: int) -> Iterator[tuple[bool, bool]]:
+    """
+    For each split (u, o) of total, from one scan of S_total: do the Callan
+    words map onto the Vesztergombi permutations and back, and does each
+    word's first letter sit at the position of o+1 in its image?
+    """
+    members = families.family_members(total)
+    for u in range(1, total):
+        o = total - u
+        words = members["callan", u, o]
+        images = [bijections.callan_to_vesztergombi(CallanWord(values=w, underlined=u, overlined=o)) for w in words]
+        yield (
+            sorted(images) == members["vesztergombi", u, o]
+            and all(bijections.vesztergombi_to_callan(sigma, u, o).values == w for w, sigma in zip(words, images)),
+            all(sigma.index(o + 1) + 1 == w[0] for w, sigma in zip(words, images)),
+        )
+
+
+def _reduces_fiber(perm: Perm, fiber: list[Configuration], p: int) -> bool:
+    """
+    Does phi take the fiber of perm one to one onto p-toppleable
+    configurations that phi_inverse takes back, and has the fiber
+    B(i,j)/2 members?
+    """
+    reduced = [bijections.phi(config, perm) for config in fiber]
+    return (
+        all(
+            bijections.phi_inverse(image, perm, p) == config and characterize.is_p_toppleable(image)
+            for image, config in zip(reduced, fiber)
+        )
+        and len(set(reduced)) == len(fiber)
+        and len(fiber) == polybernoulli.count_resultant_class(*record_class(perm, p))
+    )
 
 
 def _verify_bijections(report: VerifyReport) -> None:
@@ -866,65 +834,40 @@ def _verify_bijections(report: VerifyReport) -> None:
         word.values,
         bijections.vesztergombi_to_callan(image, 9, 6).values,
     )
-    round_ok = True
-    anchor_ok = True
-    for total in range(2, 8):
-        members = families.family_members(total)
-        for u in range(1, total):
-            o = total - u
-            words = [CallanWord(values=w, underlined=u, overlined=o) for w in members["callan", u, o]]
-            images = [bijections.callan_to_vesztergombi(w) for w in words]
-            if sorted(images) != members["vesztergombi", u, o]:
-                round_ok = False
-            for w, sigma in zip(words, images):
-                if bijections.vesztergombi_to_callan(sigma, u, o).values != w.values:
-                    round_ok = False
-                if sigma.index(o + 1) + 1 != w.values[0]:
-                    anchor_ok = False
-    report.add("Callan/Vesztergombi exhaustive roundtrip", "sizes<=7", True, round_ok)
-    report.add("first letter sits at the position of O+1", "sizes<=7", True, anchor_ok)
-    phi_ok = True
-    for n in range(1, 6):
-        for p in range(1, n + 1):
-            for perm, members in group_by_resultant(n, p).items():
-                images = set()
-                for config in members:
-                    reduced = bijections.phi(config, perm)
-                    images.add(reduced)
-                    if bijections.phi_inverse(reduced, perm, p) != config:
-                        phi_ok = False
-                    if not characterize.is_p_toppleable(reduced):
-                        phi_ok = False
-                if len(images) != len(members):
-                    phi_ok = False
-                if len(members) != polybernoulli.count_resultant_class(*record_class(perm, p)):
-                    phi_ok = False
-    report.add("record-skeleton reduction is a fiber bijection", "n<=5", True, phi_ok)
+    sizes = range(2, 8)
+    trips = [trip for total in sizes for trip in _callan_round_trips(total)]
+    report.add("Callan/Vesztergombi exhaustive roundtrip", f"sizes<={sizes[-1]}", True, all(ok for ok, _ in trips))
+    report.add("first letter sits at the position of O+1", f"sizes<={sizes[-1]}", True, all(ok for _, ok in trips))
+    sizes = range(1, 6)
+    reduced = all(
+        _reduces_fiber(perm, fiber, p)
+        for n in sizes
+        for p in range(1, n + 1)
+        for perm, fiber in group_by_resultant(n, p).items()
+    )
+    report.add("record-skeleton reduction is a fiber bijection", f"n<={sizes[-1]}", True, reduced)
 
 
 def _verify_core(report: VerifyReport, n_max: int, sweep: Sweep) -> None:
-    stirling1: dict[tuple[int, int], int] = {(0, 0): 1}
-    for n in range(1, 8):
-        for k in range(0, n + 1):
-            stirling1[(n, k)] = stirling1.get((n - 1, k - 1), 0) + (n - 1) * stirling1.get(
-                (n - 1, k), 0
-            )
-    records_ok = True
-    for n in range(1, min(n_max, 7) + 1):
-        dist: Counter[int] = Counter()
-        for perm in iter_permutations(n):
-            dist[len(left_record_values(perm))] += 1
-        if any(dist[k] != stirling1[(n, k)] for k in range(1, n + 1)):
-            records_ok = False
-    report.add("left-record distribution is Stirling-1", f"n<=min({n_max},7)", True, records_ok)
+    sizes, label = _clipped(n_max, 7)
+    stirling1 = [(1,)]  # row n: the unsigned Stirling numbers of the first kind c(n, 0..n)
+    for n in sizes:
+        row = stirling1[-1] + (0,)
+        stirling1.append(tuple((row[k - 1] if k else 0) + (n - 1) * row[k] for k in range(n + 1)))
+    records_ok = all(
+        Counter(len(left_record_values(perm)) for perm in iter_permutations(n))
+        == Counter(dict(enumerate(stirling1[n])))
+        for n in sizes
+    )
+    report.add("left-record distribution is Stirling-1", label, True, records_ok)
+    sizes, label = _clipped(n_max, 6)
     inv_ok = all(
-        set(left_record_values(perm))
-        == {pos for pos, _ in records(inverse(perm), "right_min")}
-        for n in range(1, min(n_max, 6) + 1)
+        set(left_record_values(perm)) == {pos for pos, _ in records(inverse(perm), "right_min")}
+        for n in sizes
         for perm in iter_permutations(n)
     )
-    report.add("left-record values become right-minimum positions under inversion", f"n<=min({n_max},6)", True, inv_ok)
-    read = f"n<=min({n_max},{READING_N})"
+    report.add("left-record values become right-minimum positions under inversion", label, True, inv_ok)
+    read = _clipped(n_max, READING_N)[1]
     report.add("the two unlift readings invert lift", read, True, _always(sweep, "lift inverts unlift"))
     report.add("reverse-complement is an involution onto S(n,n+1-p)", read, True, _always(sweep, "mirror involution"))
 
@@ -947,6 +890,8 @@ def verify_identities(n_max: int = 7, jobs: int = 1, seeds: int = 5) -> VerifyRe
     )
     sweep: Sweep = dict(zip(swept, sums))
     all_r = dict(zip(counted, sums[len(swept) :]))
+    # one families scan per size, read by the families and correspondences sections
+    family_counts = {size: families.count_families(size) for size in range(2, 9)}
     report = VerifyReport(n_max=n_max)
     _verify_kernel(report)
     _verify_toppleable(report, sweep)
@@ -955,8 +900,8 @@ def verify_identities(n_max: int = 7, jobs: int = 1, seeds: int = 5) -> VerifyRe
     _verify_resultants(report, n_max, sweep)
     _verify_marked(report, n_max, sweep)
     _verify_engine(report, n_max, seeds, sweep)
-    _verify_correspondences(report, n_max, sweep)
-    _verify_families(report)
+    _verify_correspondences(report, n_max, sweep, family_counts)
+    _verify_families(report, family_counts)
     _verify_bijections(report)
     _verify_core(report, n_max, sweep)
     return report

@@ -160,6 +160,8 @@ class TestAcyclicOrientations:
         # neither naive unique-sink reading reproduces C(2,2) = 7
         assert count_acyclic_orientations(2, 2, "unique_sink_anywhere") == 12
         assert count_acyclic_orientations(2, 2, "unique_sink_fixed_vertex") == 3
+        # with n = 0 there is no n-side vertex to be the sink
+        assert count_acyclic_orientations(0, 1, "unique_sink_fixed_vertex") == 0
 
     def test_cap_and_mode_errors(self):
         with pytest.raises(CapExceeded):

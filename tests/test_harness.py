@@ -1,13 +1,14 @@
 import hashlib
 import json
+from collections import Counter
 from concurrent.futures import Future
 from itertools import permutations
 from math import factorial
 
 import pytest
 
-from chiptopple import harness
-from chiptopple.core import Configuration, lift, parse_configuration
+from chiptopple import bijections, families, harness, polybernoulli
+from chiptopple.core import Configuration, lift, parse_configuration, reverse_complement
 from chiptopple.families import CapExceeded
 from chiptopple.harness import (
     DOCUMENTED,
@@ -305,7 +306,12 @@ class TestVerifyReport:
         assert in_process_pools == []
 
     def test_pool_gives_the_same_bytes(self):
-        assert verify_identities(4, jobs=2).to_json() == verify_identities(4, jobs=1).to_json()
+        single = verify_identities(4, jobs=1).to_json()
+        assert verify_identities(4, jobs=2).to_json() == single
+        # pinned at n_max 4 too, where every n-ranged claim reads at least one size
+        assert hashlib.sha256(single.encode()).hexdigest() == (
+            "fdecbc17f64f80b3258ee9734104b83eadcbb0a199acfad84e4bf86961928985"
+        )
 
     @pytest.mark.parametrize(
         "name,claims",
@@ -337,6 +343,43 @@ class TestVerifyReport:
         monkeypatch.setattr(harness, name, broken_lift if name == "lift" else broken_on_config)
         report = verify_identities(n_max=3, seeds=2)
         assert [item.claim for item in report.items if item.status == MISMATCH] == claims
+
+    @pytest.mark.parametrize(
+        "module,name,corrupt,claim",
+        [
+            (
+                families,
+                "count_families",
+                lambda counts, size: counts + Counter({("vesztergombi", 1, 1): size == 2}),
+                "Vesztergombi counts are B(n,k)",
+            ),
+            (
+                polybernoulli,
+                "count_N_pi",
+                lambda count, *args: count + (args == ((1, 2, 3), 1, 1)),
+                "marked fibers match the difference formula",
+            ),
+            (
+                polybernoulli,
+                "count_rp_toppleable",
+                lambda count, *args: count + (args == (2, 1, 1, "c_sum")),
+                "difference formula vs C-number sums",
+            ),
+            (
+                bijections,
+                "phi_inverse",
+                lambda config, reduced, perm, *rest: reverse_complement(config) if perm == (1, 2, 3, 4) else config,
+                "record-skeleton reduction is a fiber bijection",
+            ),
+        ],
+    )
+    def test_a_rewritten_claim_still_fails(self, monkeypatch, module, name, corrupt, claim):
+        # corrupt one value that a claim reads: exactly that claim turns into
+        # a mismatch (an all() over nothing would still read True)
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: corrupt(real(*args), *args))
+        report = verify_identities(n_max=3, seeds=1)
+        assert [item.claim for item in report.items if item.status == MISMATCH] == [claim]
 
     def test_text_format_mentions_counts(self):
         report = verify_identities(n_max=2, seeds=1)
