@@ -5,16 +5,25 @@ and b one site right. Two stabilizers are provided: a seeded random
 schedule (site uniform over eligible sites, pair uniform over 2-subsets)
 and the deterministic pass schedule, which topples the doubled site once
 and then every other eligible site until only the doubled site remains.
-Both reach the same final state; the random one exists so that tests can
-exercise schedule independence. The pass schedule is one loop: it drives
-``stabilize_passes``, which records a snapshot after each pass, and
-``resultant``, which records nothing.
+Both reach the same final state after the same number of topplings; the
+random one exists so that tests can exercise schedule independence. The
+pass schedule is one loop: it drives ``stabilize_passes``, which records a
+snapshot after each pass, and ``resultant``, which records nothing.
+
+The random schedule draws only at real choice points: when two or more
+sites are eligible, or when the chosen site holds three chips or more. A
+draw from range(m) is the remainder of a pool divided by m, and the pool
+keeps the quotient. The pool starts as the 512-bit block
+blake2b(f"{seed}/{block}") for block 0, and the next block is hashed
+whenever the pool falls below 2^64. A draw thus reduces a number of at
+least 2^64, so its bias is below m/2^64. A run without a choice point
+(every p=1 and p=n configuration) hashes nothing, and a seed replays its
+schedule through ``topple --random --seed``.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
-import random
 from typing import Iterator
 
 from .core import Configuration, Perm
@@ -38,6 +47,13 @@ class FinalState:
         empties = [i for i, c in enumerate(self.occupancy) if c == 0]
         if empties != [self.empty_site]:
             raise ValueError("final state must have exactly one empty site")
+
+    @classmethod
+    def _trusted(cls, n: int, occupancy: tuple[int, ...], empty_site: int) -> "FinalState":
+        """Build without validation, for stabilizers that checked the one hole themselves."""
+        final = object.__new__(cls)
+        final.__dict__.update(n=n, occupancy=occupancy, empty_site=empty_site)
+        return final
 
     def permutation(self) -> Perm:
         """The resultant: occupancy read left to right, skipping the hole."""
@@ -76,25 +92,60 @@ def _working_state(config: Configuration) -> list[list[int]]:
     return [[]] + [list(content) for content in config.sites] + [[]]
 
 
+def _stable_occupancy(state: list[list[int]]) -> tuple[tuple[int, ...], int]:
+    """The chip on each site (0 at the hole) and the empty site of a stable state."""
+    # n+1 chips on n+2 sites leave at least one hole; exactly one also rules
+    # out a doubled site
+    occupancy = tuple([chips[0] if chips else 0 for chips in state])
+    if occupancy.count(0) != 1:
+        raise ValueError("final state must have exactly one empty site")
+    return occupancy, occupancy.index(0)
+
+
 def _final_state(n: int, state: list[list[int]]) -> FinalState:
-    # n+1 chips on n+2 sites leave at least one hole; FinalState checks
-    # that there is exactly one, which also rules out a doubled site
-    occupancy = tuple(chips[0] if chips else 0 for chips in state)
-    return FinalState(n=n, occupancy=occupancy, empty_site=occupancy.index(0))
+    occupancy, empty_site = _stable_occupancy(state)
+    return FinalState._trusted(n, occupancy, empty_site)
+
+
+_REFILL = 1 << 64
+
+
+class _Draws:
+    """The draws of one seed, taken by divmod from hashed 512-bit blocks."""
+
+    __slots__ = ("seed", "block", "pool")
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        self.block = 0
+        self.pool = 0
+
+    def below(self, m: int) -> int:
+        """The next draw from range(m)."""
+        if self.pool < _REFILL:
+            # imported here: hashlib loads OpenSSL, about 3.6 MB of RSS that a
+            # process which never draws (the kernel, say) need not map
+            import hashlib
+
+            digest = hashlib.blake2b(f"{self.seed}/{self.block}".encode()).digest()
+            self.pool = int.from_bytes(digest, "little")
+            self.block += 1
+        self.pool, value = divmod(self.pool, m)
+        return value
 
 
 def stabilize_random(config: Configuration, seed: int) -> tuple[FinalState, int]:
     """
-    Stabilize under the seeded random schedule; the final state does not
-    depend on the seed. Returns the final state and the toppling count.
+    Stabilize under the seeded random schedule; the final state and the
+    toppling count do not depend on the seed. Returns both.
     """
-    rng = random.Random(seed)
+    draw = _Draws(seed).below
     state = _working_state(config)
     eligible = [config.p]
     topples = 0
     last = config.n + 1
     while eligible:
-        idx = rng.randrange(len(eligible))
+        idx = draw(len(eligible)) if len(eligible) > 1 else 0
         site = eligible[idx]
         chips = state[site]
         if len(chips) == 2:
@@ -105,9 +156,12 @@ def stabilize_random(config: Configuration, seed: int) -> tuple[FinalState, int]
             eligible[idx] = eligible[-1]
             eligible.pop()
         else:
-            a, b = sorted(rng.sample(chips, 2))
-            chips.remove(a)
-            chips.remove(b)
+            # an ordered pair of distinct chips, uniform over k(k-1) choices
+            k = len(chips)
+            i, j = divmod(draw(k * (k - 1)), k)
+            a, b = chips.pop(j), chips.pop(i)
+            if a > b:
+                a, b = b, a
             if len(chips) < 2:
                 eligible[idx] = eligible[-1]
                 eligible.pop()
@@ -153,12 +207,15 @@ def _passes(state: list[list[int]], p: int) -> Iterator[int]:
                 chips.sort()
                 a, b = chips[0], chips[1]
                 del chips[:2]
-            state[site - 1].append(a)
-            state[site + 1].append(b)
+            left = state[site - 1]
+            right = state[site + 1]
+            left.append(a)
+            right.append(b)
             topples += 1
-            for neighbour in (site - 1, site + 1):
-                if neighbour != p and len(state[neighbour]) >= 2:
-                    stack.append(neighbour)
+            if len(left) >= 2 and site - 1 != p:
+                stack.append(site - 1)
+            if len(right) >= 2 and site + 1 != p:
+                stack.append(site + 1)
         yield topples
 
 
@@ -192,5 +249,5 @@ def resultant(config: Configuration) -> tuple[Perm, int]:
     state = _working_state(config)
     for _ in _passes(state, config.p):
         pass
-    final = _final_state(config.n, state)
-    return final.permutation(), final.empty_site
+    occupancy, empty_site = _stable_occupancy(state)
+    return occupancy[:empty_site] + occupancy[empty_site + 1 :], empty_site

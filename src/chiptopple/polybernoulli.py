@@ -288,9 +288,9 @@ def count_N_pi(perm: Perm, r: int, p: int) -> int:
     n = len(perm)
     if not 1 <= p <= n - 1 or not 1 <= r <= n:
         raise ValueError(f"(p, r) = ({p}, {r}) outside range for a resultant in S_{n}")
-    if split_at(perm, p) is None:
-        raise ValueError(f"{perm} is not decomposable at prefix length {n - p}")
     if not validate_r_placement(perm, p, r):
+        if split_at(perm, p) is None:
+            raise ValueError(f"{perm} is not decomposable at prefix length {n - p}")
         raise ValueError(f"chip {r} cannot produce resultant {perm} at site {p}")
     a, b, k = marked_split(perm, p, r)
     return forward_difference(lambda i: b_number(i, k), a, b)

@@ -36,7 +36,7 @@ class TestTopple:
 
     def test_random_matches_passes(self, runner):
         deterministic = run(runner, "topple", "--config", "4,(3,2),1")
-        for seed in ("0", "7", "123456"):
+        for seed in ("0", "7", "123456", "-5", str(10**29)):
             randomized = run(
                 runner, "topple", "--config", "4,(3,2),1", "--random", "--seed", seed
             )

@@ -1,10 +1,12 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiptopple.core import make_configuration, parse_configuration, reverse_complement, reverse_complement_perm
+from chiptopple import engine
 from chiptopple.engine import FinalState, resultant, stabilize_passes, stabilize_random
 from conftest import oracle_configurations, small_configurations
 
@@ -77,6 +79,15 @@ class TestScheduleIndependence:
         final, _ = stabilize_random(config, seed)
         assert final == reference
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_count_and_resultant_do_not_depend_on_schedule(self, n):
+        for p in range(1, n + 1):
+            for config in oracle_configurations(n, p):
+                final, trace = stabilize_passes(config)
+                count = sum(snap.topples for snap in trace.passes)
+                assert [stabilize_random(config, seed)[1] for seed in range(3)] == [count] * 3
+                assert resultant(config) == (final.permutation(), final.empty_site)
+
     @given(small_configurations())
     @settings(max_examples=60, deadline=None)
     def test_symmetry_conjugation(self, config):
@@ -97,3 +108,36 @@ def test_final_state_validation():
         FinalState(n=1, occupancy=(1, 0, 0), empty_site=1)
     with pytest.raises(ValueError):
         FinalState(n=1, occupancy=(1, 2, 0), empty_site=1)
+
+
+class TestDraws:
+    """The seed drives the random schedule: a constant draw would pass every other test."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_first_draw_is_near_uniform(self, m):
+        seeds = 5000
+        counts = Counter(engine._Draws(seed).below(m) for seed in range(seeds))
+        assert sorted(counts) == list(range(m))
+        assert all(abs(count - seeds / m) <= 0.05 * seeds / m for count in counts.values())
+
+    def test_a_seed_replays_its_draws(self):
+        for seed in (0, 1, -5, 10**30):
+            first, second = engine._Draws(seed), engine._Draws(seed)
+            assert [first.below(m) for m in range(2, 202)] == [second.below(m) for m in range(2, 202)]
+            assert first.block > 1  # the draws spent more than one 512-bit block
+
+    def test_draws_only_at_choice_points(self, monkeypatch):
+        taken = []
+
+        class Recorded(engine._Draws):
+            __slots__ = ()
+
+            def below(self, m):
+                taken.append(m)
+                return super().below(m)
+
+        monkeypatch.setattr(engine, "_Draws", Recorded)
+        stabilize_random(parse_configuration("(1,2),3,4"), 0)  # p = 1: every step is forced
+        assert taken == []
+        stabilize_random(parse_configuration("4,(3,2),1"), 0)  # sites 1 and 3 both eligible
+        assert taken and all(m >= 2 for m in taken)

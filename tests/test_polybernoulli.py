@@ -259,9 +259,9 @@ class TestCountNpi:
             assert value == c_number(k, 2)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not decomposable"):
             count_N_pi((2, 4, 1, 5, 3, 6), 2, 2)  # prefix holds 5: not decomposable
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="chip 2 cannot produce"):
             count_N_pi((1, 4, 2, 3, 5, 6), 2, 2)  # 2 is not a prefix record
         with pytest.raises(ValueError):
             count_N_pi((1, 2, 3, 4), 1, 4)  # p too large for a resultant
