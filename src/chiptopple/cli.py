@@ -26,6 +26,22 @@ from .families import CallanWord, CapExceeded
 _POSITIVE = click.IntRange(min=1)
 
 
+def _decimal(value: int) -> str:
+    """
+    The exact decimal digits of ``value``. Python's int-to-str digit limit
+    (3.10.7+) still bounds the integers that options parse, so it is lifted
+    only here, for output.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 class _Cli(click.Group):
     """The one error boundary: a domain error from any subcommand becomes one Error: line."""
 
@@ -127,7 +143,7 @@ def count_toppleable(n: int, p: int, method: str, jobs: int) -> None:
         value = polybernoulli.count_toppleable_configs(n, p)
     else:
         value = harness.brute_count_toppleable(n, p, method, jobs)
-    click.echo(str(value))
+    click.echo(_decimal(value))
 
 
 @count.command("rp")
@@ -147,7 +163,7 @@ def count_rp(n: int, p: int, r: int, method: str, jobs: int) -> None:
         value = harness.brute_T(n, p, r, jobs)
     else:
         value = polybernoulli.count_rp_toppleable(n, p, r, method)
-    click.echo(str(value))
+    click.echo(_decimal(value))
 
 
 @count.command("all-r")
@@ -163,7 +179,7 @@ def count_all_r(n: int, p: int, method: str, jobs: int) -> None:
         value = harness.brute_all_r_toppleable(n, p, jobs)
     else:
         value = polybernoulli.count_all_r_toppleable(n, p)
-    click.echo(str(value))
+    click.echo(_decimal(value))
 
 
 @count.command("class")
@@ -171,7 +187,7 @@ def count_all_r(n: int, p: int, method: str, jobs: int) -> None:
 @click.option("--j", "j", type=int, required=True, help="Right-record count of the suffix.")
 def count_class(i: int, j: int) -> None:
     """Configurations toppling to any one resultant of record class (i,j)."""
-    click.echo(str(polybernoulli.count_resultant_class(i, j)))
+    click.echo(_decimal(polybernoulli.count_resultant_class(i, j)))
 
 
 @count.command("npi")
@@ -181,7 +197,7 @@ def count_class(i: int, j: int) -> None:
 def count_npi(perm: str, r: int, p: int) -> None:
     """Permutations toppling to the given resultant with chip r at site p."""
     pi = parse_permutation(perm)
-    click.echo(str(polybernoulli.count_N_pi(pi, r, p)))
+    click.echo(_decimal(polybernoulli.count_N_pi(pi, r, p)))
 
 
 @count.command("family")
@@ -217,7 +233,7 @@ def count_family_cmd(
         for member in families.enumerate_family(family, **params):
             click.echo(format_permutation(member))
     else:
-        click.echo(str(families.count_family(family, **params)))
+        click.echo(_decimal(families.count_family(family, **params)))
 
 
 @count.command("ao")
@@ -231,7 +247,7 @@ def count_family_cmd(
 )
 def count_ao(n: int, k: int, mode: str) -> None:
     """Acyclic orientations of the complete bipartite graph, brute force."""
-    click.echo(str(families.count_acyclic_orientations(n, k, mode)))
+    click.echo(_decimal(families.count_acyclic_orientations(n, k, mode)))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +447,7 @@ def verify(n_max: int, jobs: int, seeds: int, fmt: str) -> None:
 def polybernoulli_cmd(kind: str, n: int, k: int, method: str) -> None:
     """One poly-Bernoulli number, exact."""
     fn = polybernoulli.poly_bernoulli_B if kind == "B" else polybernoulli.poly_bernoulli_C
-    click.echo(str(fn(n, k, method)))
+    click.echo(_decimal(fn(n, k, method)))
 
 
 def main() -> None:

@@ -355,6 +355,8 @@ def parse_configuration(text: str) -> Configuration:
     pair = tuple(int(tok) for tok in raw_pair.split(","))
     if len(pair) != 2:
         raise ValueError(f"doubled site must hold exactly two chips: ({raw_pair})")
+    if _PAIR_RE.search(text, match.end()):
+        raise ValueError("more than one doubled site")
     before = text[: match.start()].rstrip(", ")
     after = text[match.end() :].lstrip(", ")
     contents: list[int | tuple[int, ...]] = []

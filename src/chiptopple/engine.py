@@ -1,24 +1,32 @@
 """Toppling dynamics on the extended path of sites 0..n+1.
 
-A toppling removes two chips a < b from a site and sends a one site left
-and b one site right. Two stabilizers are provided: a seeded random
-schedule (site uniform over eligible sites, pair uniform over 2-subsets)
-and the deterministic pass schedule, which topples the doubled site once
-and then every other eligible site until only the doubled site remains.
-Both reach the same final state after the same number of topplings; the
-random one exists so that tests can exercise schedule independence. The
-pass schedule is one loop: it drives ``stabilize_passes``, which records a
-snapshot after each pass, and ``resultant``, which records nothing.
+A toppling removes the two chips a < b from a doubled site and sends a one
+site left and b one site right. Two stabilizers are provided: a seeded
+random schedule (site uniform over eligible sites) and the deterministic
+pass schedule, which topples the doubled site once and then every other
+eligible site until only the doubled site remains. Both reach the same
+final state after the same number of topplings; the random one exists so
+that tests can exercise schedule independence. The pass schedule is one
+loop: it drives ``stabilize_passes``, which records a snapshot after each
+pass, and ``resultant``, which records nothing.
+
+Invariant: under any schedule, no site holds more than two chips, and an
+empty site lies between any two doubled sites. Proof sketch: the start has
+one doubled site. A toppling empties a doubled site x, whose neighbours held
+one chip at most and so end with two at most. The empty x separates its two
+sides; a neighbour that becomes doubled held a chip, so the hole that cut x
+off from the doubled sites beyond that neighbour lies beyond it too. Labels
+never decide which site may topple, so the invariant holds for labelled
+chips, and every toppling takes both chips of its site.
 
 The random schedule draws only at real choice points: when two or more
-sites are eligible, or when the chosen site holds three chips or more. A
-draw from range(m) is the remainder of a pool divided by m, and the pool
-keeps the quotient. The pool starts as the 512-bit block
-blake2b(f"{seed}/{block}") for block 0, and the next block is hashed
-whenever the pool falls below 2^64. A draw thus reduces a number of at
-least 2^64, so its bias is below m/2^64. A run without a choice point
-(every p=1 and p=n configuration) hashes nothing, and a seed replays its
-schedule through ``topple --random --seed``.
+sites are eligible. A draw from range(m) is the remainder of a pool
+divided by m, and the pool keeps the quotient. The pool starts as the
+512-bit block blake2b(f"{seed}/{block}") for block 0, and the next block
+is hashed whenever the pool falls below 2^64. A draw thus reduces a number
+of at least 2^64, so its bias is below m/2^64. A run without a choice
+point (every p=1 and p=n configuration) hashes nothing, and a seed replays
+its schedule through ``topple --random --seed``.
 """
 from __future__ import annotations
 
@@ -147,24 +155,13 @@ def stabilize_random(config: Configuration, seed: int) -> tuple[FinalState, int]
     while eligible:
         idx = draw(len(eligible)) if len(eligible) > 1 else 0
         site = eligible[idx]
+        eligible[idx] = eligible[-1]
+        eligible.pop()
         chips = state[site]
-        if len(chips) == 2:
-            a, b = chips
-            if a > b:
-                a, b = b, a
-            chips.clear()
-            eligible[idx] = eligible[-1]
-            eligible.pop()
-        else:
-            # an ordered pair of distinct chips, uniform over k(k-1) choices
-            k = len(chips)
-            i, j = divmod(draw(k * (k - 1)), k)
-            a, b = chips.pop(j), chips.pop(i)
-            if a > b:
-                a, b = b, a
-            if len(chips) < 2:
-                eligible[idx] = eligible[-1]
-                eligible.pop()
+        a, b = chips
+        if a > b:
+            a, b = b, a
+        chips.clear()
         left = state[site - 1]
         left.append(a)
         if len(left) == 2:
@@ -184,37 +181,30 @@ def stabilize_random(config: Configuration, seed: int) -> tuple[FinalState, int]
 def _passes(state: list[list[int]], p: int) -> Iterator[int]:
     """
     Run the pass schedule on ``state`` in place and yield the toppling
-    count of each pass. Sites are not kept sorted: a toppling sorts only a
-    site holding three chips or more, to take its two smallest.
+    count of each pass. A site is pushed on its step from one chip to two
+    and, by the invariant, holds exactly two when it is popped.
     """
     last = len(state) - 1
-    while len(state[p]) >= 2:
+    while len(state[p]) == 2:
         topples = 0
         stack = [p]
         while stack:
             site = stack.pop()
-            chips = state[site]
-            if len(chips) < 2:
-                continue
             if site == 0 or site == last:
                 raise ConfinementError(f"end site {site} became eligible")
-            if len(chips) == 2:
-                a, b = chips
-                if a > b:
-                    a, b = b, a
-                chips.clear()
-            else:
-                chips.sort()
-                a, b = chips[0], chips[1]
-                del chips[:2]
+            chips = state[site]
+            a, b = chips
+            if a > b:
+                a, b = b, a
+            chips.clear()
             left = state[site - 1]
             right = state[site + 1]
             left.append(a)
             right.append(b)
             topples += 1
-            if len(left) >= 2 and site - 1 != p:
+            if len(left) == 2 and site - 1 != p:
                 stack.append(site - 1)
-            if len(right) >= 2 and site + 1 != p:
+            if len(right) == 2 and site + 1 != p:
                 stack.append(site + 1)
         yield topples
 

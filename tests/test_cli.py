@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -43,18 +44,26 @@ class TestTopple:
             assert randomized.output == deterministic.output
 
     def test_trace_validates_against_schema(self, runner):
-        result = run(runner, "topple", "--config", "4,(3,2),1", "--trace")
-        lines = result.output.splitlines()
-        assert lines[0] == "resultant: 2143, empty-site: 2"
-        trace = json.loads(lines[1])
         schema = json.loads((SCHEMAS / "pass-trace.schema.json").read_text())
-        validate(trace, schema)
-        assert len(trace) == 2
+        for literal, first, passes in [
+            ("4,(3,2),1", "resultant: 2143, empty-site: 2", 2),
+            ("7,3,1,5,(2,4),6,8", "resultant: 12374568, empty-site: 3", 3),
+        ]:
+            lines = run(runner, "topple", "--config", literal, "--trace").output.splitlines()
+            assert lines[0] == first
+            trace = json.loads(lines[1])
+            validate(trace, schema)
+            assert len(trace) == passes
 
     def test_bad_literal_is_an_error(self, runner):
         result = run(runner, "topple", "--config", "1,2,3")
         assert result.exit_code == 1
         assert "doubled site" in result.output
+
+    def test_two_doubled_sites_are_an_error(self, runner):
+        result = run(runner, "topple", "--config", "(1,2),(3,4)")
+        assert result.exit_code == 1
+        assert result.output == "Error: more than one doubled site\n"
 
     def test_marked_literal_is_an_error(self, runner):
         result = run(runner, "topple", "--config", "1,(2*,3),4")
@@ -114,6 +123,17 @@ class TestCount:
 
     def test_count_class(self, runner):
         assert run(runner, "count", "class", "--i", "4", "--j", "2").output == "73\n"
+
+    def test_count_class_prints_big_exact_values(self, runner):
+        # 2^14399 has 4 335 digits, past Python's default int-to-str limit of 4 300
+        result = run(runner, "count", "class", "--i", "14400", "--j", "1")
+        assert result.exit_code == 0
+        assert Decimal(result.output) == Decimal(2**14399)
+
+    def test_huge_option_is_still_a_usage_error(self, runner):
+        result = run(runner, "count", "class", "--i", "1" * 5000, "--j", "1")
+        assert result.exit_code == 2
+        assert len([line for line in result.output.splitlines() if line.startswith("Error:")]) == 1
 
     def test_count_npi(self, runner):
         result = run(runner, "count", "npi", "--perm", "123456", "--r", "2", "--p", "2")

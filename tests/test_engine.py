@@ -103,6 +103,36 @@ class TestScheduleIndependence:
         assert sorted(final.permutation()) == list(range(1, config.n + 2))
 
 
+def _reachable_heights(start):
+    """Every chip-count vector reachable from ``start`` by toppling any interior site with two chips or more."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        heights = frontier.pop()
+        for x in range(1, len(heights) - 1):
+            if heights[x] >= 2:
+                after = list(heights)
+                after[x] -= 2
+                after[x - 1] += 1
+                after[x + 1] += 1
+                after = tuple(after)
+                if after not in seen:
+                    seen.add(after)
+                    frontier.append(after)
+    return seen
+
+
+def test_height_invariant_under_every_toppling_order():
+    """The invariant that lets the engine topple exactly two chips per site, walked without engine code."""
+    for n, p in [(n, p) for n in range(1, 9) for p in range(1, n + 1)]:
+        start = (0,) + (1,) * (p - 1) + (2,) + (1,) * (n - p) + (0,)
+        for heights in _reachable_heights(start):
+            assert max(heights) <= 2, heights
+            doubled = [x for x, h in enumerate(heights) if h == 2]
+            assert all(0 in heights[a:b] for a, b in zip(doubled, doubled[1:])), heights
+            assert heights[0] < 2 and heights[-1] < 2, heights
+
+
 def test_final_state_validation():
     with pytest.raises(ValueError):
         FinalState(n=1, occupancy=(1, 0, 0), empty_site=1)
@@ -139,5 +169,7 @@ class TestDraws:
         monkeypatch.setattr(engine, "_Draws", Recorded)
         stabilize_random(parse_configuration("(1,2),3,4"), 0)  # p = 1: every step is forced
         assert taken == []
-        stabilize_random(parse_configuration("4,(3,2),1"), 0)  # sites 1 and 3 both eligible
-        assert taken and all(m >= 2 for m in taken)
+        for seed in range(10):
+            taken.clear()
+            stabilize_random(parse_configuration("4,(3,2),1"), seed)
+            assert taken == [2]  # sites 1 and 3 both eligible, once; a pair draw would add m = 6
