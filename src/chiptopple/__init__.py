@@ -11,7 +11,6 @@ recognizers for the permutation families those numbers count
 """
 from .core import (
     Configuration,
-    MarkedConfiguration,
     Perm,
     format_configuration,
     format_permutation,
@@ -28,7 +27,6 @@ from .core import (
     unlift,
 )
 from .engine import (
-    FinalState,
     PassTrace,
     resultant,
     stabilize_passes,

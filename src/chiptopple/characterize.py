@@ -27,7 +27,7 @@ def is_p_toppleable(config: Configuration) -> bool:
 
 def is_rp_toppleable(perm: Perm, r: int, p: int) -> bool:
     """Does perm with chip r added at site p topple to the identity?"""
-    return is_p_toppleable(lift(perm, r, p).config)
+    return is_p_toppleable(lift(perm, r, p))
 
 
 def is_all_r_toppleable(perm: Perm, p: int) -> bool:

@@ -74,10 +74,10 @@ def topple(literal: str, use_random: bool, seed: int | None, trace: bool) -> Non
         if trace:
             raise click.UsageError("--trace needs the pass schedule; drop --random and --seed")
         final, _ = engine.stabilize_random(config, 0 if seed is None else seed)
-        click.echo(f"resultant: {format_permutation(final.permutation())}, empty-site: {final.empty_site}")
-        return
-    final, pass_trace = engine.stabilize_passes(config)
-    click.echo(f"resultant: {format_permutation(final.permutation())}, empty-site: {final.empty_site}")
+    else:
+        final, pass_trace = engine.stabilize_passes(config)
+    perm, empty_site = final
+    click.echo(f"resultant: {format_permutation(perm)}, empty-site: {empty_site}")
     if trace:
         click.echo(pass_trace.to_json())
 

@@ -4,8 +4,9 @@ Permutations use one-line notation as tuples of the values 1..n; tuple
 indexing is 0-based while all the combinatorial statements below speak of
 1-based positions. Configurations place the n+1 labelled chips 1..n+1 on
 sites 1..n with exactly one site (the doubled site p) holding an unordered
-pair. A marked configuration distinguishes one of the two chips at p as the
-chip that was added on top of a permutation.
+pair. A marked configuration is a configuration with one chip r of the pair
+named as the chip that was added on top of a permutation; code passes it as
+the configuration and r.
 """
 from __future__ import annotations
 
@@ -232,25 +233,12 @@ def make_configuration(site_contents: Sequence[int | Iterable[int]]) -> Configur
     return Configuration(n=len(sites), p=p, sites=tuple(sites))
 
 
-@dataclasses.dataclass(frozen=True)
-class MarkedConfiguration:
-    """A configuration with one chip of the pair at p distinguished."""
-
-    config: Configuration
-    mark: int
-
-    def __post_init__(self) -> None:
-        if self.mark not in self.config.pair:
-            raise ValueError(f"mark {self.mark} is not at the doubled site")
-
-
-def lift(perm: Perm, r: int, p: int) -> MarkedConfiguration:
+def lift(perm: Perm, r: int, p: int) -> Configuration:
     """
     Place chip perm_i at site i after bumping every value >= r up by one,
-    then add the chip r at site p and mark it.
+    then add the chip r at site p, where it is the mark.
 
-    >>> lifted = lift((6, 2, 1, 4, 3, 5, 7), 2, 5)
-    >>> [s if len(s) > 1 else s[0] for s in lifted.config.sites]
+    >>> [s if len(s) > 1 else s[0] for s in lift((6, 2, 1, 4, 3, 5, 7), 2, 5).sites]
     [7, 3, 1, 5, (2, 4), 6, 8]
     """
     n = len(perm)
@@ -265,8 +253,7 @@ def lift(perm: Perm, r: int, p: int) -> MarkedConfiguration:
             sites.append((r, chip) if r < chip else (chip, r))
         else:
             sites.append((chip,))
-    config = Configuration(n=n, p=p, sites=tuple(sites))
-    return MarkedConfiguration(config=config, mark=r)
+    return Configuration(n=n, p=p, sites=tuple(sites))
 
 
 def unlift(config: Configuration) -> tuple[tuple[Perm, int], tuple[Perm, int]]:
@@ -285,21 +272,23 @@ def unlift(config: Configuration) -> tuple[tuple[Perm, int], tuple[Perm, int]]:
     return tuple(sorted(readings, key=lambda pair: pair[1]))  # type: ignore[return-value]
 
 
-def map_w(marked: MarkedConfiguration) -> Perm:
+def map_w(config: Configuration, mark: int) -> Perm:
     """
-    Read a marked configuration as a permutation of 1..n+1: the unmarked
-    chips in site order with the mark spliced in right after site p.
+    Read config with the chip ``mark`` of its pair marked as a permutation
+    of 1..n+1: the unmarked chips in site order with the mark spliced in
+    right after site p.
 
-    >>> map_w(lift((6, 2, 1, 4, 3, 5, 7), 2, 5))
+    >>> map_w(lift((6, 2, 1, 4, 3, 5, 7), 2, 5), 2)
     (7, 3, 1, 5, 4, 2, 6, 8)
     """
-    config = marked.config
+    if mark not in config.pair:
+        raise ValueError(f"mark {mark} is not at the doubled site")
     out = []
     for i, content in enumerate(config.sites, start=1):
         if i == config.p:
-            unmarked = [c for c in content if c != marked.mark]
+            unmarked = [c for c in content if c != mark]
             out.append(unmarked[0])
-            out.append(marked.mark)
+            out.append(mark)
         else:
             out.append(content[0])
     return tuple(out)
@@ -323,19 +312,21 @@ def reverse_complement(config: Configuration) -> Configuration:
 #
 # Configuration: comma-separated chips in site order, doubled site in
 # parentheses, e.g. "7,3,1,5,(2,4),6,8". Permutation: contiguous digits
-# when n <= 9 (e.g. "6214357"), comma-separated otherwise.
+# when n <= 9 (e.g. "6214357"), comma-separated otherwise. Chips are ASCII
+# digits; spaces may surround any chip or pair, and nothing else is read.
 # ---------------------------------------------------------------------------
 
+_CHIPS = r" *[0-9]+ *(?:, *[0-9]+ *)*"
+_CHIPS_RE = re.compile(_CHIPS)
 _PAIR_RE = re.compile(r"\(([^()]*)\)")
+_CONFIGURATION_RE = re.compile(rf"(?:{_CHIPS},)? *\({_CHIPS}\) *(?:,{_CHIPS})?")
 
 
 def parse_permutation(text: str) -> Perm:
     text = text.strip()
-    if "," in text:
-        return make_permutation(int(tok) for tok in text.split(","))
-    if not text.isdigit():
+    if not _CHIPS_RE.fullmatch(text):
         raise ValueError(f"cannot parse permutation literal: {text!r}")
-    return make_permutation(int(ch) for ch in text)
+    return make_permutation(int(tok) for tok in (text.split(",") if "," in text else text))
 
 
 def format_permutation(perm: Perm) -> str:
@@ -352,20 +343,15 @@ def parse_configuration(text: str) -> Configuration:
     if match is None:
         raise ValueError(f"configuration literal has no doubled site: {text!r}")
     raw_pair = match.group(1)
-    pair = tuple(int(tok) for tok in raw_pair.split(","))
-    if len(pair) != 2:
+    if _CHIPS_RE.fullmatch(raw_pair) and raw_pair.count(",") != 1:
         raise ValueError(f"doubled site must hold exactly two chips: ({raw_pair})")
     if _PAIR_RE.search(text, match.end()):
         raise ValueError("more than one doubled site")
-    before = text[: match.start()].rstrip(", ")
-    after = text[match.end() :].lstrip(", ")
-    contents: list[int | tuple[int, ...]] = []
-    for chunk in (before, None, after):
-        if chunk is None:
-            contents.append(pair)
-        elif chunk:
-            contents.extend(int(tok) for tok in chunk.split(","))
-    return make_configuration(contents)
+    if not _CONFIGURATION_RE.fullmatch(text):
+        raise ValueError(f"cannot parse configuration literal: {text!r}")
+    chips = [int(tok) for tok in re.findall("[0-9]+", text)]
+    p = text.count(",", 0, match.start())  # chips before the pair
+    return make_configuration([*chips[:p], chips[p : p + 2], *chips[p + 2 :]])
 
 
 def format_configuration(config: Configuration) -> str:

@@ -8,7 +8,9 @@ eligible site until only the doubled site remains. Both reach the same
 final state after the same number of topplings; the random one exists so
 that tests can exercise schedule independence. The pass schedule is one
 loop: it drives ``stabilize_passes``, which records a snapshot after each
-pass, and ``resultant``, which records nothing.
+pass, and ``resultant``, which records nothing. All three stabilizers give
+the final state in one form, the ``resultant`` pair: the permutation of
+1..n+1 read left to right skipping the hole, and the hole's site.
 
 Invariant: under any schedule, no site holds more than two chips, and an
 empty site lies between any two doubled sites. Proof sketch: the start has
@@ -42,33 +44,6 @@ class ConfinementError(RuntimeError):
 
 
 @dataclasses.dataclass(frozen=True)
-class FinalState:
-    """Stabilized chips: one chip on every site of 0..n+1 except one."""
-
-    n: int
-    occupancy: tuple[int, ...]  # chip per site, 0 at the empty site
-    empty_site: int
-
-    def __post_init__(self) -> None:
-        if len(self.occupancy) != self.n + 2:
-            raise ValueError("occupancy must cover sites 0..n+1")
-        empties = [i for i, c in enumerate(self.occupancy) if c == 0]
-        if empties != [self.empty_site]:
-            raise ValueError("final state must have exactly one empty site")
-
-    @classmethod
-    def _trusted(cls, n: int, occupancy: tuple[int, ...], empty_site: int) -> "FinalState":
-        """Build without validation, for stabilizers that checked the one hole themselves."""
-        final = object.__new__(cls)
-        final.__dict__.update(n=n, occupancy=occupancy, empty_site=empty_site)
-        return final
-
-    def permutation(self) -> Perm:
-        """The resultant: occupancy read left to right, skipping the hole."""
-        return tuple(c for c in self.occupancy if c != 0)
-
-
-@dataclasses.dataclass(frozen=True)
 class PassSnapshot:
     left_arm: tuple[int, ...]
     active: tuple[tuple[int, ...], ...]
@@ -78,8 +53,6 @@ class PassSnapshot:
 
 @dataclasses.dataclass(frozen=True)
 class PassTrace:
-    n: int
-    p: int
     passes: tuple[PassSnapshot, ...]
 
     def to_json(self) -> str:
@@ -100,19 +73,15 @@ def _working_state(config: Configuration) -> list[list[int]]:
     return [[]] + [list(content) for content in config.sites] + [[]]
 
 
-def _stable_occupancy(state: list[list[int]]) -> tuple[tuple[int, ...], int]:
-    """The chip on each site (0 at the hole) and the empty site of a stable state."""
+def _stable_resultant(state: list[list[int]]) -> tuple[Perm, int]:
+    """The resultant of a stable state, read left to right skipping the hole, and the hole's site."""
     # n+1 chips on n+2 sites leave at least one hole; exactly one also rules
     # out a doubled site
     occupancy = tuple([chips[0] if chips else 0 for chips in state])
     if occupancy.count(0) != 1:
         raise ValueError("final state must have exactly one empty site")
-    return occupancy, occupancy.index(0)
-
-
-def _final_state(n: int, state: list[list[int]]) -> FinalState:
-    occupancy, empty_site = _stable_occupancy(state)
-    return FinalState._trusted(n, occupancy, empty_site)
+    empty_site = occupancy.index(0)
+    return occupancy[:empty_site] + occupancy[empty_site + 1 :], empty_site
 
 
 _REFILL = 1 << 64
@@ -142,10 +111,10 @@ class _Draws:
         return value
 
 
-def stabilize_random(config: Configuration, seed: int) -> tuple[FinalState, int]:
+def stabilize_random(config: Configuration, seed: int) -> tuple[tuple[Perm, int], int]:
     """
-    Stabilize under the seeded random schedule; the final state and the
-    toppling count do not depend on the seed. Returns both.
+    Stabilize under the seeded random schedule. Returns the ``resultant``
+    pair and the toppling count; neither depends on the seed.
     """
     draw = _Draws(seed).below
     state = _working_state(config)
@@ -175,7 +144,7 @@ def stabilize_random(config: Configuration, seed: int) -> tuple[FinalState, int]
                 raise ConfinementError(f"site {last} accumulated two chips")
             eligible.append(site + 1)
         topples += 1
-    return _final_state(config.n, state), topples
+    return _stable_resultant(state), topples
 
 
 def _passes(state: list[list[int]], p: int) -> Iterator[int]:
@@ -220,15 +189,16 @@ def _snapshot(state: list[list[int]], topples: int) -> PassSnapshot:
     )
 
 
-def stabilize_passes(config: Configuration) -> tuple[FinalState, PassTrace]:
+def stabilize_passes(config: Configuration) -> tuple[tuple[Perm, int], PassTrace]:
     """
     Stabilize in passes: topple the doubled site once, then every eligible
-    site other than it until none remains; repeat until stable. Records a
-    snapshot (left arm, active part, right arm) after each pass.
+    site other than it until none remains; repeat until stable. Returns the
+    ``resultant`` pair and a snapshot (left arm, active part, right arm)
+    after each pass.
     """
     state = _working_state(config)
     passes = tuple(_snapshot(state, topples) for topples in _passes(state, config.p))
-    return _final_state(config.n, state), PassTrace(n=config.n, p=config.p, passes=passes)
+    return _stable_resultant(state), PassTrace(passes)
 
 
 def resultant(config: Configuration) -> tuple[Perm, int]:
@@ -239,5 +209,4 @@ def resultant(config: Configuration) -> tuple[Perm, int]:
     state = _working_state(config)
     for _ in _passes(state, config.p):
         pass
-    occupancy, empty_site = _stable_occupancy(state)
-    return occupancy[:empty_site] + occupancy[empty_site + 1 :], empty_site
+    return _stable_resultant(state)

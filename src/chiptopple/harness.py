@@ -32,7 +32,6 @@ from typing import Callable, Hashable, Iterator, Mapping
 from . import bijections, characterize, families, polybernoulli
 from .core import (
     Configuration,
-    MarkedConfiguration,
     Perm,
     format_configuration,
     inverse,
@@ -122,20 +121,22 @@ def _sweep_chunk(args: tuple[int, int, int, int, int]) -> Counter:
     Topple the configurations of S(n,p) with ranks in [lo, hi) once each,
     by passes, and tally what the verify report reads from them:
     tally[fact, value] counts the configurations on which fact took value.
-    Only n <= ENGINE_N needs a pass trace; above it ``resultant`` suffices.
+    Only n <= ENGINE_N needs a pass trace; above it ``resultant`` suffices,
+    and either way the final state is the (resultant, empty site) pair.
     The facts are the resultant, the empty site and the window oracle's
     verdict; for n <= ENGINE_N also the pass count, the first pass's
     topplings beyond n, whether every pass's arms are frozen in the final
-    state and whether the mirrored configuration topples to the mirrored
-    resultant. A configuration is also read twice, as ``lift(perm, r, p)``
-    with r either chip of the pair, so S(n,p) holds every (perm, r) once:
-    for n <= ENGINE_N, "rp toppleable" r counts the readings toppling to
-    the identity, T(n,p,r); for n <= READING_N, (("marked", r), resultant)
+    occupancy (the resultant with a 0 put back at the empty site) and
+    whether the mirrored configuration topples to the mirrored resultant.
+    A configuration is also read twice, as ``lift(perm, r, p)`` with r
+    either chip of the pair, so S(n,p) holds every (perm, r) once: for
+    n <= ENGINE_N, "rp toppleable" r counts the readings toppling to the
+    identity, T(n,p,r); for n <= READING_N, (("marked", r), resultant)
     counts the fiber that ``resultant_counts_marked(n + 1, p, r)`` gives,
     and "reading window" is whether the window verdict agrees with the
-    Vesztergombi window of ``map_w`` with r marked and read after site p.
+    Vesztergombi window of ``map_w(config, r)``, read after site p.
     For n <= READING_N it also tallies "schedules agree" (the random
-    schedules of seeds 0..seeds-1 all reach the passes' final state),
+    schedules of seeds 0..seeds-1 all reach the passes' pair),
     "lift inverts unlift" (for both ``unlift`` readings) and "mirror
     involution" (``reverse_complement`` goes to S(n, n+1-p) and back).
     """
@@ -143,17 +144,17 @@ def _sweep_chunk(args: tuple[int, int, int, int, int]) -> Counter:
     tally: Counter = Counter()
     for config in enumerate_configurations(n, p, lo, hi):
         if n > ENGINE_N:
-            perm, empty_site = resultant(config)
+            final = resultant(config)
         else:
             final, trace = stabilize_passes(config)
-            perm, empty_site = final.permutation(), final.empty_site
+        perm, empty_site = final
         window = characterize.is_p_toppleable(config)
         tally["resultant", perm] += 1
         tally["empty site", empty_site] += 1
         tally["window", window] += 1
         if n > ENGINE_N:
             continue
-        occupancy = final.occupancy
+        occupancy = perm[:empty_site] + (0,) + perm[empty_site:]
         frozen = all(
             snap.left_arm == occupancy[: len(snap.left_arm)]
             and snap.right_arm == occupancy[len(occupancy) - len(snap.right_arm) :]
@@ -170,14 +171,14 @@ def _sweep_chunk(args: tuple[int, int, int, int, int]) -> Counter:
                 tally["rp toppleable", r] += 1
             if n <= READING_N:
                 tally[("marked", r), perm] += 1
-                star = map_w(MarkedConfiguration(config, r))
+                star = map_w(config, r)
                 windowed = families.is_vesztergombi(star, p, n - p + 1) and star[p] == r
                 tally["reading window", window == windowed] += 1
         if n > READING_N:
             continue
         scheduled = all(stabilize_random(config, seed)[0] == final for seed in range(seeds))
         readings = unlift(config)
-        lifted = len(readings) == 2 and all(lift(q, r, p).config == config for q, r in readings)
+        lifted = len(readings) == 2 and all(lift(q, r, p) == config for q, r in readings)
         tally["schedules agree", scheduled] += 1
         tally["lift inverts unlift", lifted] += 1
         tally["mirror involution", mirror.p == n + 1 - p and reverse_complement(mirror) == config] += 1
@@ -330,8 +331,7 @@ def resultant_counts_marked(n: int, p: int, r: int) -> dict[Perm, int]:
         raise CapExceeded(f"n - 1 = {n - 1} exceeds the permutation cap {PERM_CAP}")
     out: Counter[Perm] = Counter()
     for perm in iter_permutations(n - 1):
-        config = lift(perm, r, p).config
-        image, _ = resultant(config)
+        image, _ = resultant(lift(perm, r, p))
         out[image] += 1
     return dict(out)
 
@@ -361,8 +361,7 @@ def schedule_independence(n: int, p: int, seeds: int, base_seed: int = 0) -> int
     for config in enumerate_configurations(n, p):
         reference = resultant(config)
         for offset in range(seeds):
-            final, _ = stabilize_random(config, base_seed + offset)
-            if (final.permutation(), final.empty_site) != reference:
+            if stabilize_random(config, base_seed + offset)[0] != reference:
                 raise AssertionError(
                     f"seed {base_seed + offset} disagrees on {format_configuration(config)}"
                 )

@@ -65,6 +65,11 @@ class TestTopple:
         assert result.exit_code == 1
         assert result.output == "Error: more than one doubled site\n"
 
+    def test_literal_outside_the_grammar_is_an_error(self, runner):
+        result = run(runner, "topple", "--config", "(3,4),1,2,")
+        assert result.exit_code == 1
+        assert result.output == "Error: cannot parse configuration literal: '(3,4),1,2,'\n"
+
     def test_marked_literal_is_an_error(self, runner):
         result = run(runner, "topple", "--config", "1,(2*,3),4")
         assert result.exit_code == 1
@@ -228,8 +233,9 @@ class TestCount:
 # One argv template per command shape. Each placeholder takes a fresh draw:
 # {int} an integer around every size boundary; {lit} a valid permutation or
 # configuration literal, or any string over the characters of those
-# grammars; {small} and {tiny} sizes for brute-force enumerations, bounded
-# so that a run stays fast.
+# grammars and a few that int() would read but the grammars do not (+, _
+# and a non-ASCII digit); {small} and {tiny} sizes for brute-force
+# enumerations, bounded so that a run stays fast.
 _TEMPLATES = [
     "topple --config {lit}",
     "topple --config {lit} --trace",
@@ -274,7 +280,7 @@ _FILLS = {
     "{small}": st.integers(-3, 5).map(str),
     "{tiny}": st.integers(-3, 3).map(str),
     "{lit}": st.one_of(
-        st.text(alphabet="0123456789,()*", max_size=12),
+        st.text(alphabet="0123456789,()* +_\u0661", max_size=12),
         st.integers(0, 8).flatmap(lambda n: st.permutations(range(1, n + 1))).map(format_permutation),
         small_configurations().map(format_configuration),
     ),

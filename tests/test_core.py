@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from chiptopple.core import (
     Configuration,
-    MarkedConfiguration,
     format_configuration,
     format_permutation,
     identity,
@@ -115,20 +114,20 @@ class TestSplitAt:
 
 class TestLiftUnlift:
     def test_lift_example(self):
-        marked = lift((6, 2, 1, 4, 3, 5, 7), 2, 5)
-        assert marked.config == parse_configuration("7,3,1,5,(2,4),6,8")
-        assert marked.mark == 2
+        lifted = lift((6, 2, 1, 4, 3, 5, 7), 2, 5)
+        assert lifted == parse_configuration("7,3,1,5,(2,4),6,8")
+        assert 2 in lifted.pair
 
     def test_second_reading_same_configuration(self):
         first = lift((6, 2, 1, 4, 3, 5, 7), 2, 5)
         second = lift((6, 3, 1, 4, 2, 5, 7), 4, 5)
-        assert first.config == second.config
-        assert second.mark == 4
+        assert first == second
+        assert 4 in second.pair
 
     def test_smallest(self):
-        marked = lift((1,), 1, 1)
-        assert marked.config.sites == ((1, 2),)
-        assert marked.mark == 1
+        lifted = lift((1,), 1, 1)
+        assert lifted.sites == ((1, 2),)
+        assert 1 in lifted.pair
 
     def test_range_errors(self):
         with pytest.raises(ValueError):
@@ -154,19 +153,23 @@ class TestLiftUnlift:
             readings = unlift(config)
             assert len(readings) == 2
             for perm, r in readings:
-                assert lift(perm, r, p).config == config
+                assert lift(perm, r, p) == config
 
 
 class TestMapW:
     def test_example(self):
-        assert map_w(lift((6, 2, 1, 4, 3, 5, 7), 2, 5)) == (7, 3, 1, 5, 4, 2, 6, 8)
+        assert map_w(lift((6, 2, 1, 4, 3, 5, 7), 2, 5), 2) == (7, 3, 1, 5, 4, 2, 6, 8)
 
     def test_smallest(self):
-        assert map_w(lift((1,), 2, 1)) == (1, 2)
+        assert map_w(lift((1,), 2, 1), 2) == (1, 2)
 
     def test_three_sites(self):
-        marked = MarkedConfiguration(parse_configuration("1,(2,3),4"), 2)
-        assert map_w(marked) == (1, 3, 2, 4)
+        assert map_w(parse_configuration("1,(2,3),4"), 2) == (1, 3, 2, 4)
+
+    def test_mark_must_be_at_the_doubled_site(self):
+        with pytest.raises(ValueError) as info:
+            map_w(parse_configuration("1,(2,3),4"), 4)
+        assert str(info.value) == "mark 4 is not at the doubled site"
 
     @given(perms, st.data())
     @settings(max_examples=60)
@@ -174,7 +177,7 @@ class TestMapW:
         n = len(perm)
         r = data.draw(st.integers(1, n + 1))
         p = data.draw(st.integers(1, n))
-        star = map_w(lift(perm, r, p))
+        star = map_w(lift(perm, r, p), r)
         assert sorted(star) == list(range(1, n + 2))
         assert star[p] == r
 
@@ -222,6 +225,11 @@ class TestLiterals:
         assert parse_permutation("6,2,1,4,3,5,7") == (6, 2, 1, 4, 3, 5, 7)
         assert format_permutation(tuple(range(1, 11))).count(",") == 9
 
+    def test_spaces_around_chips_and_pair(self):
+        assert parse_configuration("1, (2,3), 4") == parse_configuration("1,(2,3),4")
+        assert parse_configuration(" 1 ,( 3 , 2 ) ,4 ") == parse_configuration("1,(2,3),4")
+        assert parse_permutation("2, 1, 3") == (2, 1, 3)
+
     def test_bad_literals(self):
         with pytest.raises(ValueError):
             parse_configuration("1,2,3")
@@ -231,6 +239,27 @@ class TestLiterals:
             parse_configuration("1,(2*,3),4")
         with pytest.raises(ValueError):
             parse_permutation("12x")
+        # anything outside the grammar is one error that names the literal
+        for text in [
+            "1,2(3,4)", "(3,4)1,2", "(3,4),,1,2", "1,(2,3),,", "+1,(2,3)", "1_0,(2,3)",
+            "(3,4),1,2,", "1,,2,(3,4)", "()", "1;(2,3)", "(a,b)", "1,(2,3),4 5", "(\uff11,2)",
+        ]:
+            with pytest.raises(ValueError) as info:
+                parse_configuration(text)
+            assert str(info.value) == f"cannot parse configuration literal: {text!r}"
+        for text in ["+1,2", "2,1_0,3,4,5,6,7,8,9,1", "\u0661\u0662", "1,,2", "1 2", ""]:
+            with pytest.raises(ValueError) as info:
+                parse_permutation(text)
+            assert str(info.value) == f"cannot parse permutation literal: {text!r}"
+        for text, message in [
+            ("1,2,3", "configuration literal has no doubled site: '1,2,3'"),
+            ("1,(2,3,4)", "doubled site must hold exactly two chips: (2,3,4)"),
+            ("(1,2),(3,4)", "more than one doubled site"),
+            ("1,(2*,3),4", "unexpected marked chip in plain configuration literal"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                parse_configuration(text)
+            assert str(info.value) == message
 
 
 class TestConfigurationValidation:

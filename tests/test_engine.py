@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from chiptopple.core import make_configuration, parse_configuration, reverse_complement, reverse_complement_perm
 from chiptopple import engine
-from chiptopple.engine import FinalState, resultant, stabilize_passes, stabilize_random
+from chiptopple.engine import resultant, stabilize_passes, stabilize_random
 from conftest import oracle_configurations, small_configurations
 
 
@@ -25,8 +25,7 @@ class TestStabilize:
         config = parse_configuration(text)
         for seed in (0, 1, 17):
             final, _ = stabilize_random(config, seed)
-            assert final.permutation() == perm
-            assert final.empty_site == empty
+            assert final == (perm, empty)
 
     @pytest.mark.parametrize("text,perm,empty", FIXED_POINTS)
     def test_resultant(self, text, perm, empty):
@@ -34,7 +33,14 @@ class TestStabilize:
 
     def test_occupancy_example(self):
         final, _ = stabilize_random(parse_configuration("1,(2,3),4"), 5)
-        assert final.occupancy == (1, 2, 0, 3, 4)
+        assert final == ((1, 2, 3, 4), 2)  # occupancy (1, 2, 0, 3, 4)
+
+    def test_one_hole_check(self):
+        # n+1 = 3 chips on sites 0..3 with site 2 doubled: two holes
+        with pytest.raises(ValueError) as info:
+            engine._stable_resultant([[1], [], [2, 3], []])
+        assert str(info.value) == "final state must have exactly one empty site"
+        assert engine._stable_resultant([[1], [2], [], [3]]) == ((1, 2, 3), 2)
 
     def test_pass_counts(self):
         _, trace = stabilize_passes(parse_configuration("1,(2,3),4"))
@@ -45,10 +51,10 @@ class TestStabilize:
     @pytest.mark.parametrize("n,p", [(n, p) for n in range(1, 6) for p in range(1, n + 1)])
     def test_pass_structure(self, n, p):
         for config in oracle_configurations(n, p):
-            final, trace = stabilize_passes(config)
+            (perm, empty_site), trace = stabilize_passes(config)
             assert len(trace.passes) == min(p, n - p + 1)
-            assert final.empty_site == n - p + 1
-            occupancy = list(final.occupancy)
+            assert empty_site == n - p + 1
+            occupancy = list(perm[:empty_site]) + [0] + list(perm[empty_site:])
             grown = 0
             for snap in trace.passes:
                 assert len(snap.left_arm) > grown
@@ -86,7 +92,7 @@ class TestScheduleIndependence:
                 final, trace = stabilize_passes(config)
                 count = sum(snap.topples for snap in trace.passes)
                 assert [stabilize_random(config, seed)[1] for seed in range(3)] == [count] * 3
-                assert resultant(config) == (final.permutation(), final.empty_site)
+                assert resultant(config) == final
 
     @given(small_configurations())
     @settings(max_examples=60, deadline=None)
@@ -98,9 +104,9 @@ class TestScheduleIndependence:
     @given(small_configurations())
     @settings(max_examples=60, deadline=None)
     def test_exactly_one_empty_site(self, config):
-        final, _ = stabilize_passes(config)
-        assert final.occupancy.count(0) == 1
-        assert sorted(final.permutation()) == list(range(1, config.n + 2))
+        (perm, empty_site), _ = stabilize_passes(config)
+        assert 0 <= empty_site <= config.n + 1
+        assert sorted(perm) == list(range(1, config.n + 2))
 
 
 def _reachable_heights(start):
@@ -131,13 +137,6 @@ def test_height_invariant_under_every_toppling_order():
             doubled = [x for x, h in enumerate(heights) if h == 2]
             assert all(0 in heights[a:b] for a, b in zip(doubled, doubled[1:])), heights
             assert heights[0] < 2 and heights[-1] < 2, heights
-
-
-def test_final_state_validation():
-    with pytest.raises(ValueError):
-        FinalState(n=1, occupancy=(1, 0, 0), empty_site=1)
-    with pytest.raises(ValueError):
-        FinalState(n=1, occupancy=(1, 2, 0), empty_site=1)
 
 
 class TestDraws:

@@ -337,8 +337,8 @@ class TestVerifyReport:
             return real(other if config == target else config, *args)
 
         def broken_lift(perm, r, p):
-            marked = real(perm, r, p)
-            return lift((3, 2, 1), r, p) if marked.config == target else marked
+            config = real(perm, r, p)
+            return lift((3, 2, 1), r, p) if config == target else config
 
         monkeypatch.setattr(harness, name, broken_lift if name == "lift" else broken_on_config)
         report = verify_identities(n_max=3, seeds=2)
