@@ -322,11 +322,23 @@ _PAIR_RE = re.compile(r"\(([^()]*)\)")
 _CONFIGURATION_RE = re.compile(rf"(?:{_CHIPS},)? *\({_CHIPS}\) *(?:,{_CHIPS})?")
 
 
+def _chip_values(tokens: list[str], kind: str, text: str) -> list[int]:
+    """
+    The values of a literal's chip tokens. No chip exceeds the number of
+    chips, so a token with more significant digits than that number is
+    rejected before ``int`` reads it.
+    """
+    width = len(str(len(tokens)))
+    if any(len(tok.strip().lstrip("0")) > width for tok in tokens):
+        raise ValueError(f"cannot parse {kind} literal: {text!r}")
+    return [int(tok) for tok in tokens]
+
+
 def parse_permutation(text: str) -> Perm:
     text = text.strip()
     if not _CHIPS_RE.fullmatch(text):
         raise ValueError(f"cannot parse permutation literal: {text!r}")
-    return make_permutation(int(tok) for tok in (text.split(",") if "," in text else text))
+    return make_permutation(_chip_values(text.split(",") if "," in text else list(text), "permutation", text))
 
 
 def format_permutation(perm: Perm) -> str:
@@ -349,7 +361,7 @@ def parse_configuration(text: str) -> Configuration:
         raise ValueError("more than one doubled site")
     if not _CONFIGURATION_RE.fullmatch(text):
         raise ValueError(f"cannot parse configuration literal: {text!r}")
-    chips = [int(tok) for tok in re.findall("[0-9]+", text)]
+    chips = _chip_values(re.findall("[0-9]+", text), "configuration", text)
     p = text.count(",", 0, match.start())  # chips before the pair
     return make_configuration([*chips[:p], chips[p : p + 2], *chips[p + 2 :]])
 

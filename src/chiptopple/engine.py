@@ -6,9 +6,7 @@ random schedule (site uniform over eligible sites) and the deterministic
 pass schedule, which topples the doubled site once and then every other
 eligible site until only the doubled site remains. Both reach the same
 final state after the same number of topplings; the random one exists so
-that tests can exercise schedule independence. The pass schedule is one
-loop: it drives ``stabilize_passes``, which records a snapshot after each
-pass, and ``resultant``, which records nothing. All three stabilizers give
+that tests can exercise schedule independence. All three stabilizers give
 the final state in one form, the ``resultant`` pair: the permutation of
 1..n+1 read left to right skipping the hole, and the hole's site.
 
@@ -20,6 +18,20 @@ sides; a neighbour that becomes doubled held a chip, so the hole that cut x
 off from the doubled sites beyond that neighbour lies beyond it too. Labels
 never decide which site may topple, so the invariant holds for labelled
 chips, and every toppling takes both chips of its site.
+
+Since labels never choose a site, the pass schedule topples the same sites
+in the same order for every configuration of S(n,p); labels only decide
+which chip of a pair goes left. Each toppling is thus a compare-exchange
+of two chip slots, and the schedule is a comparator network of p(n+1-p)
+comparators. ``_program`` compiles it once per (n,p) by running the
+schedule over chip slots, which only heights steer; that run is also where
+a ``ConfinementError`` or the one-hole ``ValueError`` would be raised, and
+it records the layout each pass leaves. ``resultant`` runs the network and
+reads the slots; ``stabilize_passes`` also builds a snapshot after each
+pass. Programs are kept for n <= 8, the largest n that the harness
+enumerates; a larger one is compiled per call, so memory stays bounded.
+``stabilize_random`` stays a labelled simulation: it is the independent
+check of the network.
 
 The random schedule draws only at real choice points: when two or more
 sites are eligible. A draw from range(m) is the remainder of a pool
@@ -34,7 +46,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Iterator
+from typing import NamedTuple
 
 from .core import Configuration, Perm
 
@@ -147,46 +159,96 @@ def stabilize_random(config: Configuration, seed: int) -> tuple[tuple[Perm, int]
     return _stable_resultant(state), topples
 
 
-def _passes(state: list[list[int]], p: int) -> Iterator[int]:
+class _Pass(NamedTuple):
+    """One pass of a program: its comparators and the registers of the layout it leaves."""
+
+    comparators: tuple[tuple[int, int], ...]
+    left_arm: tuple[int, ...]
+    active: tuple[tuple[int, ...], ...]
+    right_arm: tuple[int, ...]
+
+
+class _Program(NamedTuple):
+    """The pass schedule of S(n,p) as a comparator network."""
+
+    passes: tuple[_Pass, ...]
+    order: tuple[int, ...]  # the registers read left to right, skipping the hole
+    empty_site: int
+
+
+_MEMO_N = 8  # harness enumerations topple up to n = 8: PERM_CAP-size permutations, lifted
+_PROGRAMS: dict[tuple[int, int], _Program] = {}
+
+
+def _program(n: int, p: int) -> _Program:
     """
-    Run the pass schedule on ``state`` in place and yield the toppling
-    count of each pass. A site is pushed on its step from one chip to two
-    and, by the invariant, holds exactly two when it is popped.
+    Compile the pass schedule of S(n,p) by running it once over registers:
+    register k is the k-th chip slot of ``config.sites`` in site order,
+    numbered from 1 so that 0 still marks an empty site. Toppling a site
+    that holds registers (i, j) is the comparator (i, j), which leaves the
+    smaller chip in i, sent left, and the larger in j, sent right. A site
+    is pushed on its step from one chip to two and, by the invariant,
+    holds exactly two when it is popped. Programs for n <= _MEMO_N are
+    kept; a larger one is compiled on every call.
     """
-    last = len(state) - 1
+    program = _PROGRAMS.get((n, p))
+    if program is not None:
+        return program
+    state = [[]] + [[k] for k in range(1, p)] + [[p, p + 1]] + [[k] for k in range(p + 2, n + 2)] + [[]]
+    last = n + 1
+    passes = []
     while len(state[p]) == 2:
-        topples = 0
+        comparators = []
         stack = [p]
         while stack:
             site = stack.pop()
             if site == 0 or site == last:
                 raise ConfinementError(f"end site {site} became eligible")
             chips = state[site]
-            a, b = chips
-            if a > b:
-                a, b = b, a
+            i, j = chips
             chips.clear()
             left = state[site - 1]
             right = state[site + 1]
-            left.append(a)
-            right.append(b)
-            topples += 1
+            left.append(i)
+            right.append(j)
+            comparators.append((i, j))
             if len(left) == 2 and site - 1 != p:
                 stack.append(site - 1)
             if len(right) == 2 and site + 1 != p:
                 stack.append(site + 1)
-        yield topples
+        first_hole = state.index([])
+        last_hole = last - state[::-1].index([])
+        passes.append(
+            _Pass(
+                tuple(comparators),
+                tuple([chips[0] for chips in state[:first_hole]]),
+                tuple(map(tuple, filter(None, state[first_hole + 1 : last_hole]))),
+                tuple([chips[0] for chips in state[last_hole + 1 :]]),
+            )
+        )
+    order, empty_site = _stable_resultant(state)
+    program = _Program(tuple(passes), order, empty_site)
+    if n <= _MEMO_N:
+        _PROGRAMS[n, p] = program
+    return program
 
 
-def _snapshot(state: list[list[int]], topples: int) -> PassSnapshot:
-    holes = [i for i, chips in enumerate(state) if not chips]
-    first, last = holes[0], holes[-1]
-    return PassSnapshot(
-        left_arm=tuple(state[i][0] for i in range(first)),
-        active=tuple(tuple(sorted(state[i])) for i in range(first + 1, last) if state[i]),
-        right_arm=tuple(state[i][0] for i in range(last + 1, len(state))),
-        topples=topples,
-    )
+def _registers(config: Configuration) -> list[int]:
+    """The chips of config in register order, after an unused slot 0."""
+    w = [0]
+    for content in config.sites:
+        w += content
+    return w
+
+
+def _run(w: list[int], comparators: tuple[tuple[int, int], ...]) -> None:
+    """Apply the comparators to the registers w in place."""
+    for i, j in comparators:
+        a = w[i]
+        b = w[j]
+        if a > b:
+            w[i] = b
+            w[j] = a
 
 
 def stabilize_passes(config: Configuration) -> tuple[tuple[Perm, int], PassTrace]:
@@ -196,9 +258,21 @@ def stabilize_passes(config: Configuration) -> tuple[tuple[Perm, int], PassTrace
     ``resultant`` pair and a snapshot (left arm, active part, right arm)
     after each pass.
     """
-    state = _working_state(config)
-    passes = tuple(_snapshot(state, topples) for topples in _passes(state, config.p))
-    return _stable_resultant(state), PassTrace(passes)
+    program = _program(config.n, config.p)
+    w = _registers(config)
+    read = w.__getitem__
+    snapshots = []
+    for step in program.passes:
+        _run(w, step.comparators)
+        snapshots.append(
+            PassSnapshot(
+                left_arm=tuple(map(read, step.left_arm)),
+                active=tuple([tuple(sorted(map(read, site))) for site in step.active]),
+                right_arm=tuple(map(read, step.right_arm)),
+                topples=len(step.comparators),
+            )
+        )
+    return (tuple(map(read, program.order)), program.empty_site), PassTrace(tuple(snapshots))
 
 
 def resultant(config: Configuration) -> tuple[Perm, int]:
@@ -206,7 +280,8 @@ def resultant(config: Configuration) -> tuple[Perm, int]:
     The permutation of 1..n+1 left by stabilization, read left to right
     skipping the empty site, plus the empty site's index.
     """
-    state = _working_state(config)
-    for _ in _passes(state, config.p):
-        pass
-    return _stable_resultant(state)
+    program = _program(config.n, config.p)
+    w = _registers(config)
+    for step in program.passes:
+        _run(w, step.comparators)
+    return tuple([w[r] for r in program.order]), program.empty_site

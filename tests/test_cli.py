@@ -70,6 +70,13 @@ class TestTopple:
         assert result.exit_code == 1
         assert result.output == "Error: cannot parse configuration literal: '(3,4),1,2,'\n"
 
+    def test_over_long_chip_is_an_error(self, runner):
+        # no chip exceeds the chip count, so 5 000 digits fail before int() sees them
+        literal = "1,(2," + "1" * 5000 + ")"
+        result = run(runner, "topple", "--config", literal)
+        assert result.exit_code == 1
+        assert result.output == f"Error: cannot parse configuration literal: {literal!r}\n"
+
     def test_marked_literal_is_an_error(self, runner):
         result = run(runner, "topple", "--config", "1,(2*,3),4")
         assert result.exit_code == 1
@@ -91,6 +98,12 @@ class TestCheck:
     def test_all_r(self, runner):
         result = run(runner, "check", "all-r", "--perm", "1234", "--p", "2")
         assert result.output == "true\n"
+
+    def test_over_long_chip_is_an_error(self, runner):
+        literal = "1," + "1" * 5000
+        result = run(runner, "check", "all-r", "--perm", literal, "--p", "1")
+        assert result.exit_code == 1
+        assert result.output == f"Error: cannot parse permutation literal: {literal!r}\n"
 
     def test_rp(self, runner):
         assert run(runner, "check", "rp", "--perm", "123", "--r", "2", "--p", "2").output == "true\n"

@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -107,6 +108,48 @@ class TestScheduleIndependence:
         (perm, empty_site), _ = stabilize_passes(config)
         assert 0 <= empty_site <= config.n + 1
         assert sorted(perm) == list(range(1, config.n + 2))
+
+
+def _shuffled_configuration(n, p, rng):
+    chips = list(range(1, n + 2))
+    rng.shuffle(chips)
+    return make_configuration([*chips[: p - 1], chips[p - 1 : p + 1], *chips[p + 1 :]])
+
+
+class TestCompiledSchedule:
+    """The pass schedule is a comparator network compiled once per (n, p)."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_closed_form_toppling_count(self, n):
+        rng = random.Random(n)
+        for p in range(1, n + 1):
+            for _ in range(3):
+                config = _shuffled_configuration(n, p, rng)
+                (_, empty_site), trace = stabilize_passes(config)
+                count = p * (n + 1 - p)
+                assert sum(snap.topples for snap in trace.passes) == count
+                assert [stabilize_random(config, seed)[1] for seed in range(3)] == [count] * 3
+                assert len(trace.passes) == min(p, n - p + 1)
+                assert empty_site == n - p + 1
+
+    def test_programs_are_kept_up_to_n_8(self):
+        rng = random.Random(9)
+        for n in range(9, 13):
+            for p in range(1, n + 1):
+                resultant(_shuffled_configuration(n, p, rng))
+        assert all(n <= 8 for n, _ in engine._PROGRAMS)
+        for n in range(1, 9):
+            for p in range(1, n + 1):
+                resultant(_shuffled_configuration(n, p, rng))
+        assert len(engine._PROGRAMS) == 36
+
+    @pytest.mark.parametrize("p", [1, 7, 20, 33, 40])
+    def test_unkept_program_agrees_with_the_random_schedule(self, p):
+        config = _shuffled_configuration(40, p, random.Random(p))
+        final = resultant(config)
+        assert stabilize_passes(config)[0] == final
+        assert [stabilize_random(config, seed)[0] for seed in range(3)] == [final] * 3
+        assert (40, p) not in engine._PROGRAMS
 
 
 def _reachable_heights(start):
