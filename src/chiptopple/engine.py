@@ -31,7 +31,9 @@ reads the slots; ``stabilize_passes`` also builds a snapshot after each
 pass. Programs are kept for n <= 8, the largest n that the harness
 enumerates; a larger one is compiled per call, so memory stays bounded.
 ``stabilize_random`` stays a labelled simulation: it is the independent
-check of the network.
+check of the network. By the invariant it runs on two slot lists, the
+first and the second chip of each site, and ends with the same one-hole
+check as ``_program``.
 
 The random schedule draws only at real choice points: when two or more
 sites are eligible. A draw from range(m) is the remainder of a pool
@@ -81,15 +83,16 @@ class PassTrace:
         )
 
 
-def _working_state(config: Configuration) -> list[list[int]]:
-    return [[]] + [list(content) for content in config.sites] + [[]]
-
-
 def _stable_resultant(state: list[list[int]]) -> tuple[Perm, int]:
     """The resultant of a stable state, read left to right skipping the hole, and the hole's site."""
+    return _read_resultant([chips[0] if chips else 0 for chips in state])
+
+
+def _read_resultant(low: list[int]) -> tuple[Perm, int]:
+    """The resultant of the first chip of each site (0 for none), after the one-hole check."""
     # n+1 chips on n+2 sites leave at least one hole; exactly one also rules
     # out a doubled site
-    occupancy = tuple([chips[0] if chips else 0 for chips in state])
+    occupancy = tuple(low)
     if occupancy.count(0) != 1:
         raise ValueError("final state must have exactly one empty site")
     empty_site = occupancy.index(0)
@@ -129,34 +132,44 @@ def stabilize_random(config: Configuration, seed: int) -> tuple[tuple[Perm, int]
     pair and the toppling count; neither depends on the seed.
     """
     draw = _Draws(seed).below
-    state = _working_state(config)
+    # low[x] and high[x]: the first and second chip at site x, 0 for none
+    low = [0, *[content[0] for content in config.sites], 0]
+    high = [0] * len(low)
+    high[config.p] = config.sites[config.p - 1][1]
     eligible = [config.p]
     topples = 0
     last = config.n + 1
     while eligible:
-        idx = draw(len(eligible)) if len(eligible) > 1 else 0
-        site = eligible[idx]
-        eligible[idx] = eligible[-1]
-        eligible.pop()
-        chips = state[site]
-        a, b = chips
+        if len(eligible) > 1:
+            idx = draw(len(eligible))
+            site = eligible[idx]
+            eligible[idx] = eligible[-1]
+            eligible.pop()
+        else:
+            site = eligible.pop()
+        a = low[site]
+        b = high[site]
         if a > b:
             a, b = b, a
-        chips.clear()
-        left = state[site - 1]
-        left.append(a)
-        if len(left) == 2:
-            if site - 1 == 0:
+        low[site] = high[site] = 0
+        left = site - 1
+        if low[left]:
+            if left == 0:
                 raise ConfinementError("site 0 accumulated two chips")
-            eligible.append(site - 1)
-        right = state[site + 1]
-        right.append(b)
-        if len(right) == 2:
-            if site + 1 == last:
+            high[left] = a
+            eligible.append(left)
+        else:
+            low[left] = a
+        right = site + 1
+        if low[right]:
+            if right == last:
                 raise ConfinementError(f"site {last} accumulated two chips")
-            eligible.append(site + 1)
+            high[right] = b
+            eligible.append(right)
+        else:
+            low[right] = b
         topples += 1
-    return _stable_resultant(state), topples
+    return _read_resultant(low), topples
 
 
 class _Pass(NamedTuple):

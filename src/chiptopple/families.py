@@ -300,41 +300,65 @@ def count_acyclic_orientations(n: int, k: int, mode: str = "all") -> int:
     mode 'all' counts every AO; 'unique_sink_anywhere' keeps those with
     exactly one sink; 'unique_sink_fixed_vertex' keeps those whose unique
     sink is the first vertex of the n-side part (none when n = 0).
+
+    All orientations are tried at once, bit-sliced: bit m of every int
+    below stands for orientation m, in which edge e points from the n-side
+    to the k-side exactly when bit e of m is set. Sinks are peeled in
+    parallel: a vertex is removed in a lane once every edge at it points
+    into it or leads to a removed vertex. Each round removes a sink of
+    every acyclic lane that has vertices left, and no vertex of a cycle is
+    ever removed, so after at most n+k rounds a lane is acyclic exactly
+    when all its vertices are removed.
     """
     if mode not in ("all", "unique_sink_anywhere", "unique_sink_fixed_vertex"):
         raise ValueError(f"unknown mode {mode!r}")
     if n < 0 or k < 0:
         raise ValueError("part sizes must be at least 0")
-    edges = [(a, n + b) for a in range(n) for b in range(k)]
-    if len(edges) > AO_BIT_CAP:
-        raise CapExceeded(f"{len(edges)} edges exceeds the {AO_BIT_CAP}-bit cap")
-    vertices = n + k
-    total = 0
-    for mask in range(1 << len(edges)):
-        out: list[list[int]] = [[] for _ in range(vertices)]
-        indegree = [0] * vertices
-        for e, (a, b) in enumerate(edges):
-            src, dst = (a, b) if mask >> e & 1 else (b, a)
-            out[src].append(dst)
-            indegree[dst] += 1
-        # Kahn peeling: acyclic iff all vertices get removed
-        order = [v for v in range(vertices) if indegree[v] == 0]
-        seen = 0
-        while order:
-            v = order.pop()
-            seen += 1
-            for w in out[v]:
-                indegree[w] -= 1
-                if indegree[w] == 0:
-                    order.append(w)
-        if seen != vertices:
-            continue
-        if mode == "all":
-            total += 1
-            continue
-        sinks = [v for v in range(vertices) if not out[v]]
-        if mode == "unique_sink_anywhere" and len(sinks) == 1:
-            total += 1
-        elif mode == "unique_sink_fixed_vertex" and n >= 1 and sinks == [0]:
-            total += 1
-    return total
+    edges = n * k
+    if edges > AO_BIT_CAP:
+        raise CapExceeded(f"{edges} edges exceeds the {AO_BIT_CAP}-bit cap")
+    lanes = 1 << edges
+    full = (1 << lanes) - 1
+    # into[v]: (lanes where the edge points into v, other end) per edge at v
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n + k)]
+    for e in range(edges):
+        half = 1 << e
+        forward = ((1 << half) - 1) << half  # bit e set, over a period of 2^(e+1) lanes
+        width = half << 1
+        while width < lanes:
+            forward |= forward << width
+            width <<= 1
+        a, b = divmod(e, k)
+        into[a].append((full ^ forward, n + b))
+        into[n + b].append((forward, a))
+    removed = [0] * (n + k)
+    for _ in range(n + k):
+        for v, incident in enumerate(into):
+            peeled = full
+            for lanes_into, w in incident:
+                peeled &= lanes_into | removed[w]
+            removed[v] = peeled
+    kept = full
+    for peeled in removed:
+        kept &= peeled
+    if mode != "all":
+        sinks = []
+        for incident in into:
+            sink = full
+            for lanes_into, _ in incident:
+                sink &= lanes_into
+            sinks.append(sink)
+        if mode == "unique_sink_anywhere":
+            once = twice = 0  # lanes with at least one sink, at least two
+            for sink in sinks:
+                twice |= once & sink
+                once |= sink
+            kept &= once ^ twice
+        elif n >= 1:
+            others = 0
+            for sink in sinks[1:]:
+                others |= sink
+            kept &= sinks[0] & (full ^ others)
+        else:
+            kept = 0
+    return kept.bit_count()

@@ -94,10 +94,8 @@ def enumerate_configurations(
         base = pair_index * per_pair
         sub_lo = max(lo - base, 0)
         sub_hi = min(hi - base, per_pair)
-        for arrangement in iter_permutations(n - 1, sub_lo, sub_hi):
-            placed = [singles[k - 1] for k in arrangement]
-            placed.insert(p - 1, pair)
-            yield Configuration._trusted(n, p, tuple(placed))
+        for arrangement in islice(permutations(singles), sub_lo, sub_hi):
+            yield Configuration._trusted(n, p, arrangement[: p - 1] + (pair,) + arrangement[p - 1 :])
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,43 @@ def oracle_is_callan(perm: tuple[int, ...], underlined: int) -> bool:
     return True
 
 
+def oracle_acyclic_orientations(n: int, k: int, mode: str = "all") -> int:
+    """
+    Acyclic orientations of K_{n,k}, one orientation at a time: build the
+    orientation's adjacency lists, Kahn-peel it, and read its sinks.
+    """
+    edges = [(a, n + b) for a in range(n) for b in range(k)]
+    vertices = n + k
+    total = 0
+    for mask in range(1 << len(edges)):
+        out: list[list[int]] = [[] for _ in range(vertices)]
+        indegree = [0] * vertices
+        for e, (a, b) in enumerate(edges):
+            src, dst = (a, b) if mask >> e & 1 else (b, a)
+            out[src].append(dst)
+            indegree[dst] += 1
+        # Kahn peeling: acyclic iff all vertices get removed
+        order = [v for v in range(vertices) if indegree[v] == 0]
+        seen = 0
+        while order:
+            v = order.pop()
+            seen += 1
+            for w in out[v]:
+                indegree[w] -= 1
+                if indegree[w] == 0:
+                    order.append(w)
+        if seen != vertices:
+            continue
+        sinks = [v for v in range(vertices) if not out[v]]
+        if mode == "all":
+            total += 1
+        elif mode == "unique_sink_anywhere" and len(sinks) == 1:
+            total += 1
+        elif mode == "unique_sink_fixed_vertex" and n >= 1 and sinks == [0]:
+            total += 1
+    return total
+
+
 @pytest.fixture(scope="session")
 def s32_configurations() -> list[Configuration]:
     return oracle_configurations(3, 2)

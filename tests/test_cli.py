@@ -171,6 +171,7 @@ class TestCount:
 
     def test_ao(self, runner):
         assert run(runner, "count", "ao", "--n", "2", "--k", "2").output == "14\n"
+        assert run(runner, "count", "ao", "--n", "4", "--k", "5").output == "41506\n"  # at the cap
 
     @pytest.mark.parametrize(
         "args",
@@ -193,6 +194,7 @@ class TestCount:
         "args,message",
         [
             (("count", "ao", "--n", "-1", "--k", "2"), "part sizes must be at least 0"),
+            (("count", "ao", "--n", "3", "--k", "7"), "21 edges exceeds the 20-bit cap"),
             (
                 ("count", "family", "--family", "vesztergombi", "--k", "-1", "--n", "2"),
                 "vesztergombi sizes must be at least 0",
@@ -219,7 +221,7 @@ class TestCount:
             ),
         ],
         ids=[
-            "ao", "vesztergombi", "window_c-list", "callan", "vesz-to-callan",
+            "ao", "ao-cap", "vesztergombi", "window_c-list", "callan", "vesz-to-callan",
             "toppleable-characterize", "toppleable-simulate", "rp-brute", "all-r-brute", "npi-cap",
         ],
     )

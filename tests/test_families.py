@@ -17,7 +17,7 @@ from chiptopple.families import (
     validate_r_placement,
 )
 from chiptopple.polybernoulli import b_number, c_number
-from conftest import oracle_is_callan, oracle_permutations
+from conftest import oracle_acyclic_orientations, oracle_is_callan, oracle_permutations
 
 VESZ_15 = (1, 6, 4, 8, 7, 10, 12, 11, 13, 3, 2, 9, 5, 14, 15)
 
@@ -152,9 +152,23 @@ class TestAcyclicOrientations:
         assert count_acyclic_orientations(2, 2) == 14
 
     def test_matches_b_numbers(self):
-        for n in range(1, 4):
-            for k in range(1, 4):
-                assert count_acyclic_orientations(n, k) == b_number(n, k)
+        for n in range(21):
+            for k in range(21):
+                if n * k <= 20:
+                    assert count_acyclic_orientations(n, k) == b_number(n, k), (n, k)
+        assert count_acyclic_orientations(4, 5) == 41506
+        assert count_acyclic_orientations(2, 10) == 117074
+        assert count_acyclic_orientations(1, 20) == 2**20
+
+    @pytest.mark.parametrize("mode", ["all", "unique_sink_anywhere", "unique_sink_fixed_vertex"])
+    def test_matches_the_one_at_a_time_oracle(self, mode):
+        for n in range(13):
+            for k in range(13):
+                if n * k <= 12:
+                    assert count_acyclic_orientations(n, k, mode) == oracle_acyclic_orientations(n, k, mode), (n, k)
+
+    def test_matches_the_oracle_at_four_by_four(self):
+        assert count_acyclic_orientations(4, 4) == oracle_acyclic_orientations(4, 4)
 
     def test_unique_sink_modes_documented(self):
         # neither naive unique-sink reading reproduces C(2,2) = 7
