@@ -141,14 +141,14 @@ def phi(config: Configuration, perm: Perm, verify: bool = False) -> Configuratio
     lrec, rrec = record_split(perm, p)
     keep = sorted(lrec) + sorted(rrec)
     relabel = {chip: index for index, chip in enumerate(keep, start=1)}
-    sites = []
-    for content in config.sites:
-        kept = tuple(sorted(relabel[c] for c in content if c in relabel))
-        if len(content) == 2 and len(kept) < 2:
-            raise ValueError("a chip of the doubled site is not a record; resultant mismatch")
-        if kept:
-            sites.append(kept)
-    return Configuration(n=len(sites), p=len(rrec), sites=tuple(sites))
+    if not all(c in relabel for c in config.pair):
+        raise ValueError("a chip of the doubled site is not a record; resultant mismatch")
+    site = 1 + sum(c in relabel for c in config.chips[: p - 1])
+    if site != len(rrec):
+        raise ValueError(f"the doubled site lands on site {site}, not {len(rrec)}; resultant mismatch")
+    # relabelling keeps the order, so the pair stays ascending
+    chips = tuple([relabel[c] for c in config.chips if c in relabel])
+    return Configuration(n=len(chips) - 1, p=site, chips=chips)
 
 
 def _infer_p(perm: Perm, i: int, j: int) -> int:
@@ -203,11 +203,11 @@ def phi_inverse(reduced: Configuration, perm: Perm, p: int | None = None) -> Con
     free_sites = [site for site in range(1, n + 1) if site not in placed]
     if len(free_sites) != reduced.n:
         raise ValueError("forced sites collide; invalid perm/skeleton combination")
-    sites: list[tuple[int, ...]] = [()] * n
-    for site, value in placed.items():
-        sites[site - 1] = (value,)
-    for skeleton_site, target in zip(reduced.sites, free_sites):
-        sites[target - 1] = tuple(sorted(relabel[c] for c in skeleton_site))
     if free_sites[j - 1] != p:
         raise ValueError("doubled site would not land on p; invalid combination")
-    return Configuration(n=n, p=p, sites=tuple(sites))
+    chips = [0] * (n + 1)
+    for site, value in placed.items():
+        chips[site - 1 if site < p else site] = value
+    # the skeleton's chips fill the free slots in order, its pair at p
+    skeleton = iter([relabel[c] for c in reduced.chips])
+    return Configuration(n=n, p=p, chips=tuple([c or next(skeleton) for c in chips]))

@@ -18,10 +18,10 @@ def is_p_toppleable(config: Configuration) -> bool:
     the window is never violated, so only the single chips constrain.
     """
     n, p = config.n, config.p
-    for site, content in enumerate(config.sites, start=1):
-        for chip in content:
-            if not (p + chip - n - 1 <= site <= p + chip - 1):
-                return False
+    for k, chip in enumerate(config.chips):
+        site = k + 1 if k < p else k
+        if not p + chip - n - 1 <= site <= p + chip - 1:
+            return False
     return True
 
 

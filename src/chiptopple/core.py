@@ -4,9 +4,10 @@ Permutations use one-line notation as tuples of the values 1..n; tuple
 indexing is 0-based while all the combinatorial statements below speak of
 1-based positions. Configurations place the n+1 labelled chips 1..n+1 on
 sites 1..n with exactly one site (the doubled site p) holding an unordered
-pair. A marked configuration is a configuration with one chip r of the pair
-named as the chip that was added on top of a permutation; code passes it as
-the configuration and r.
+pair. A configuration stores its chips as one word of n+1 chips in site
+order, the pair ascending at indices p-1 and p. A marked configuration is a
+configuration with one chip r of the pair named as the chip that was added
+on top of a permutation; code passes it as the configuration and r.
 """
 from __future__ import annotations
 
@@ -170,41 +171,37 @@ class Configuration:
     """
     n+1 labelled chips on sites 1..n, with an unordered pair at site p.
 
-    ``sites[i-1]`` is the sorted tuple of chips at site i; every entry has
-    length 1 except the entry at the doubled site p.
+    ``chips`` holds the n+1 chips in site order with the pair ascending at
+    indices p-1 and p: chip index k sits on site k+1 before the pair and on
+    site k after it.
     """
 
     n: int
     p: int
-    sites: tuple[tuple[int, ...], ...]
+    chips: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n, p, chips = self.n, self.p, self.chips
+        if n < 1:
             raise ValueError("configuration needs at least one site")
-        if not 1 <= self.p <= self.n:
-            raise ValueError(f"doubled site {self.p} outside 1..{self.n}")
-        if len(self.sites) != self.n:
-            raise ValueError("site list length does not match n")
-        chips: list[int] = []
-        for i, content in enumerate(self.sites, start=1):
-            want = 2 if i == self.p else 1
-            if len(content) != want:
-                raise ValueError(f"site {i} holds {len(content)} chips, expected {want}")
-            if list(content) != sorted(content):
-                raise ValueError(f"site contents must be sorted: site {i}")
-            chips.extend(content)
-        if set(chips) != set(range(1, self.n + 2)) or len(chips) != self.n + 1:
-            raise ValueError(f"chip labels must be exactly 1..{self.n + 1}")
+        if not 1 <= p <= n:
+            raise ValueError(f"doubled site {p} outside 1..{n}")
+        if len(chips) != n + 1:
+            raise ValueError(f"{len(chips)} chips on {n} sites, expected {n + 1}")
+        if chips[p - 1] > chips[p]:
+            raise ValueError(f"the pair at site {p} must be ascending")
+        if set(chips) != set(range(1, n + 2)):
+            raise ValueError(f"chip labels must be exactly 1..{n + 1}")
 
     @property
     def pair(self) -> tuple[int, int]:
-        return self.sites[self.p - 1]  # type: ignore[return-value]
+        return self.chips[self.p - 1 : self.p + 1]  # type: ignore[return-value]
 
     @classmethod
-    def _trusted(cls, n: int, p: int, sites: tuple[tuple[int, ...], ...]) -> "Configuration":
+    def _trusted(cls, n: int, p: int, chips: tuple[int, ...]) -> "Configuration":
         """Build without validation, for producers whose output is valid by construction."""
         config = object.__new__(cls)
-        config.__dict__.update(n=n, p=p, sites=sites)
+        config.__dict__.update(n=n, p=p, chips=chips)
         return config
 
 
@@ -216,21 +213,23 @@ def make_configuration(site_contents: Sequence[int | Iterable[int]]) -> Configur
     >>> make_configuration([1, (3, 2), 4]).pair
     (2, 3)
     """
-    sites: list[tuple[int, ...]] = []
+    chips: list[int] = []
     p = 0
+    bad = ""  # the first site of 0 or 3+ chips; a missing or second pair is reported first
     for i, content in enumerate(site_contents, start=1):
-        if isinstance(content, int):
-            sites.append((content,))
-        else:
-            chips = tuple(sorted(content))
-            sites.append(chips)
-            if len(chips) == 2:
-                if p:
-                    raise ValueError("more than one doubled site")
-                p = i
+        content = [content] if isinstance(content, int) else sorted(content)
+        if len(content) == 2:
+            if p:
+                raise ValueError("more than one doubled site")
+            p = i
+        elif len(content) != 1 and not bad:
+            bad = f"site {i} holds {len(content)} chips, expected 1"
+        chips += content
     if not p:
         raise ValueError("no doubled site found")
-    return Configuration(n=len(sites), p=p, sites=tuple(sites))
+    if bad:
+        raise ValueError(bad)
+    return Configuration(n=len(chips) - 1, p=p, chips=tuple(chips))
 
 
 def lift(perm: Perm, r: int, p: int) -> Configuration:
@@ -238,22 +237,18 @@ def lift(perm: Perm, r: int, p: int) -> Configuration:
     Place chip perm_i at site i after bumping every value >= r up by one,
     then add the chip r at site p, where it is the mark.
 
-    >>> [s if len(s) > 1 else s[0] for s in lift((6, 2, 1, 4, 3, 5, 7), 2, 5).sites]
-    [7, 3, 1, 5, (2, 4), 6, 8]
+    >>> config = lift((6, 2, 1, 4, 3, 5, 7), 2, 5)
+    >>> config.chips, config.pair
+    ((7, 3, 1, 5, 2, 4, 6, 8), (2, 4))
     """
     n = len(perm)
     if not 1 <= r <= n + 1:
         raise ValueError(f"extra chip {r} outside 1..{n + 1}")
     if not 1 <= p <= n:
         raise ValueError(f"site {p} outside 1..{n}")
-    sites: list[tuple[int, ...]] = []
-    for i, value in enumerate(perm, start=1):
-        chip = value if value < r else value + 1
-        if i == p:
-            sites.append((r, chip) if r < chip else (chip, r))
-        else:
-            sites.append((chip,))
-    return Configuration(n=n, p=p, sites=tuple(sites))
+    chips = [value if value < r else value + 1 for value in perm]
+    chips.insert(p - 1 if r < chips[p - 1] else p, r)
+    return Configuration(n=n, p=p, chips=tuple(chips))
 
 
 def unlift(config: Configuration) -> tuple[tuple[Perm, int], tuple[Perm, int]]:
@@ -262,14 +257,10 @@ def unlift(config: Configuration) -> tuple[tuple[Perm, int], tuple[Perm, int]]:
     chip of the pair and close the label gap. Returned with r ascending;
     ``lift`` is a left inverse of both readings.
     """
-    readings = []
-    for r in config.pair:
-        values = []
-        for i, content in enumerate(config.sites, start=1):
-            rest = [c for c in content if c != r] if i == config.p else list(content)
-            values.append(rest[0] if rest[0] < r else rest[0] - 1)
-        readings.append((make_permutation(values), r))
-    return tuple(sorted(readings, key=lambda pair: pair[1]))  # type: ignore[return-value]
+    return tuple(  # type: ignore[return-value]
+        (make_permutation([c if c < r else c - 1 for c in config.chips if c != r]), r)
+        for r in config.pair
+    )
 
 
 def map_w(config: Configuration, mark: int) -> Perm:
@@ -281,17 +272,11 @@ def map_w(config: Configuration, mark: int) -> Perm:
     >>> map_w(lift((6, 2, 1, 4, 3, 5, 7), 2, 5), 2)
     (7, 3, 1, 5, 4, 2, 6, 8)
     """
-    if mark not in config.pair:
+    low, high = config.pair
+    if mark not in (low, high):
         raise ValueError(f"mark {mark} is not at the doubled site")
-    out = []
-    for i, content in enumerate(config.sites, start=1):
-        if i == config.p:
-            unmarked = [c for c in content if c != mark]
-            out.append(unmarked[0])
-            out.append(mark)
-        else:
-            out.append(content[0])
-    return tuple(out)
+    chips, p = config.chips, config.p
+    return chips[: p - 1] + ((high, low) if mark == low else (low, high)) + chips[p + 1 :]
 
 
 def reverse_complement(config: Configuration) -> Configuration:
@@ -300,11 +285,9 @@ def reverse_complement(config: Configuration) -> Configuration:
     carrying the doubled site p to n+1-p.
     """
     top = config.n + 2
-    # complementing reverses the order of a sorted pair
-    sites = tuple(
-        tuple(top - c for c in reversed(content)) for content in reversed(config.sites)
-    )
-    return Configuration._trusted(config.n, config.n + 1 - config.p, sites)
+    # the reversal swaps the pair and complementing swaps it back: it stays ascending
+    chips = tuple([top - c for c in reversed(config.chips)])
+    return Configuration._trusted(config.n, config.n + 1 - config.p, chips)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +350,7 @@ def parse_configuration(text: str) -> Configuration:
 
 
 def format_configuration(config: Configuration) -> str:
-    return ",".join(
-        "({},{})".format(*content) if i == config.p else str(content[0])
-        for i, content in enumerate(config.sites, start=1)
-    )
+    parts = list(map(str, config.chips))
+    i = config.p - 1
+    parts[i : i + 2] = [f"({parts[i]},{parts[i + 1]})"]
+    return ",".join(parts)

@@ -23,11 +23,12 @@ Since labels never choose a site, the pass schedule topples the same sites
 in the same order for every configuration of S(n,p); labels only decide
 which chip of a pair goes left. Each toppling is thus a compare-exchange
 of two chip slots, and the schedule is a comparator network of p(n+1-p)
-comparators. ``_program`` compiles it once per (n,p) by running the
-schedule over chip slots, which only heights steer; that run is also where
+comparators over n+1 registers, where register k starts as
+``config.chips[k-1]``. ``_program`` compiles it once per (n,p) by running the
+schedule over registers, which only heights steer; that run is also where
 a ``ConfinementError`` or the one-hole ``ValueError`` would be raised, and
 it records the layout each pass leaves. ``resultant`` runs the network and
-reads the slots; ``stabilize_passes`` also builds a snapshot after each
+reads the registers; ``stabilize_passes`` also builds a snapshot after each
 pass. Programs are kept for n <= 8, the largest n that the harness
 enumerates; a larger one is compiled per call, so memory stays bounded.
 ``stabilize_random`` stays a labelled simulation: it is the independent
@@ -83,11 +84,6 @@ class PassTrace:
         )
 
 
-def _stable_resultant(state: list[list[int]]) -> tuple[Perm, int]:
-    """The resultant of a stable state, read left to right skipping the hole, and the hole's site."""
-    return _read_resultant([chips[0] if chips else 0 for chips in state])
-
-
 def _read_resultant(low: list[int]) -> tuple[Perm, int]:
     """The resultant of the first chip of each site (0 for none), after the one-hole check."""
     # n+1 chips on n+2 sites leave at least one hole; exactly one also rules
@@ -133,10 +129,11 @@ def stabilize_random(config: Configuration, seed: int) -> tuple[tuple[Perm, int]
     """
     draw = _Draws(seed).below
     # low[x] and high[x]: the first and second chip at site x, 0 for none
-    low = [0, *[content[0] for content in config.sites], 0]
+    chips, p = config.chips, config.p
+    low = [0, *chips[:p], *chips[p + 1 :], 0]
     high = [0] * len(low)
-    high[config.p] = config.sites[config.p - 1][1]
-    eligible = [config.p]
+    high[p] = chips[p]
+    eligible = [p]
     topples = 0
     last = config.n + 1
     while eligible:
@@ -196,7 +193,7 @@ _PROGRAMS: dict[tuple[int, int], _Program] = {}
 def _program(n: int, p: int) -> _Program:
     """
     Compile the pass schedule of S(n,p) by running it once over registers:
-    register k is the k-th chip slot of ``config.sites`` in site order,
+    register k is ``config.chips[k-1]``, the k-th chip in site order,
     numbered from 1 so that 0 still marks an empty site. Toppling a site
     that holds registers (i, j) is the comparator (i, j), which leaves the
     smaller chip in i, sent left, and the larger in j, sent right. A site
@@ -239,19 +236,11 @@ def _program(n: int, p: int) -> _Program:
                 tuple([chips[0] for chips in state[last_hole + 1 :]]),
             )
         )
-    order, empty_site = _stable_resultant(state)
+    order, empty_site = _read_resultant([chips[0] if chips else 0 for chips in state])
     program = _Program(tuple(passes), order, empty_site)
     if n <= _MEMO_N:
         _PROGRAMS[n, p] = program
     return program
-
-
-def _registers(config: Configuration) -> list[int]:
-    """The chips of config in register order, after an unused slot 0."""
-    w = [0]
-    for content in config.sites:
-        w += content
-    return w
 
 
 def _run(w: list[int], comparators: tuple[tuple[int, int], ...]) -> None:
@@ -272,7 +261,7 @@ def stabilize_passes(config: Configuration) -> tuple[tuple[Perm, int], PassTrace
     after each pass.
     """
     program = _program(config.n, config.p)
-    w = _registers(config)
+    w = [0, *config.chips]
     read = w.__getitem__
     snapshots = []
     for step in program.passes:
@@ -294,7 +283,7 @@ def resultant(config: Configuration) -> tuple[Perm, int]:
     skipping the empty site, plus the empty site's index.
     """
     program = _program(config.n, config.p)
-    w = _registers(config)
+    w = [0, *config.chips]
     for step in program.passes:
         _run(w, step.comparators)
     return tuple([w[r] for r in program.order]), program.empty_site

@@ -90,12 +90,12 @@ def enumerate_configurations(
     pairs = list(combinations(chips, 2))
     for pair_index in range(lo // per_pair, (hi + per_pair - 1) // per_pair):
         pair = pairs[pair_index]
-        singles = tuple((c,) for c in chips if c not in pair)
+        singles = tuple(c for c in chips if c not in pair)
         base = pair_index * per_pair
         sub_lo = max(lo - base, 0)
         sub_hi = min(hi - base, per_pair)
         for arrangement in islice(permutations(singles), sub_lo, sub_hi):
-            yield Configuration._trusted(n, p, arrangement[: p - 1] + (pair,) + arrangement[p - 1 :])
+            yield Configuration._trusted(n, p, arrangement[: p - 1] + pair + arrangement[p - 1 :])
 
 
 # ---------------------------------------------------------------------------

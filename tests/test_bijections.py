@@ -124,6 +124,19 @@ class TestPhi:
         with pytest.raises(ValueError):
             phi(config, (1, 2, 3, 4), verify=True)
 
+    @pytest.mark.parametrize(
+        "text,perm,message",
+        [
+            ("3,(1,2),4", (1, 2, 4, 3), "the doubled site lands on site 2, not 1; resultant mismatch"),
+            ("1,(2,3),4", (2, 1, 3, 4), "the doubled site lands on site 1, not 2; resultant mismatch"),
+        ],
+    )
+    def test_pair_off_its_skeleton_site_is_a_mismatch(self, text, perm, message):
+        # both pair chips are records, but the kept chips put the pair on the wrong site
+        with pytest.raises(ValueError) as info:
+            phi(parse_configuration(text), perm)
+        assert str(info.value) == message
+
     def test_non_resultant_rejected(self):
         config = parse_configuration("4,(1,2),3")
         with pytest.raises(ValueError):

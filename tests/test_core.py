@@ -126,7 +126,7 @@ class TestLiftUnlift:
 
     def test_smallest(self):
         lifted = lift((1,), 1, 1)
-        assert lifted.sites == ((1, 2),)
+        assert lifted.chips == (1, 2)
         assert 1 in lifted.pair
 
     def test_range_errors(self):
@@ -205,7 +205,7 @@ class TestReverseComplement:
     @given(small_configurations())
     def test_image_equals_validated_configuration(self, config):
         mirrored = reverse_complement(config)
-        assert mirrored == Configuration(n=mirrored.n, p=mirrored.p, sites=mirrored.sites)
+        assert mirrored == Configuration(n=mirrored.n, p=mirrored.p, chips=mirrored.chips)
 
     @given(perms)
     def test_perm_variant_is_involution(self, perm):
@@ -263,6 +263,39 @@ class TestLiterals:
 
 
 class TestConfigurationValidation:
+    @pytest.mark.parametrize(
+        "n,p,chips,message",
+        [
+            (0, 1, (1,), "configuration needs at least one site"),
+            (3, 0, (1, 2, 3, 4), "doubled site 0 outside 1..3"),
+            (3, 4, (1, 2, 3, 4), "doubled site 4 outside 1..3"),
+            (3, 2, (1, 2, 3), "3 chips on 3 sites, expected 4"),
+            (3, 2, (1, 2, 3, 4, 5), "5 chips on 3 sites, expected 4"),
+            (3, 2, (1, 3, 2, 4), "the pair at site 2 must be ascending"),
+            (3, 2, (1, 2, 3, 3), "chip labels must be exactly 1..4"),
+            (3, 2, (1, 2, 3, 5), "chip labels must be exactly 1..4"),
+        ],
+    )
+    def test_constructor_messages(self, n, p, chips, message):
+        with pytest.raises(ValueError) as info:
+            Configuration(n=n, p=p, chips=chips)
+        assert str(info.value) == message
+
+    def test_make_configuration_contract(self):
+        # an int and a one-element iterable are both a single chip
+        config = make_configuration([1, (2, 3), (4,)])
+        assert (config.n, config.p, config.chips) == (3, 2, (1, 2, 3, 4))
+        assert make_configuration([[4], (3, 1), 2]).chips == (4, 1, 3, 2)
+        for contents, message in [
+            ([1, 2, 3], "no doubled site found"),
+            ([(1, 2), (3, 4)], "more than one doubled site"),
+            ([1, (2, 3), (4, 5, 6)], "site 3 holds 3 chips, expected 1"),
+            ([(1, 2, 3), (4, 5)], "site 1 holds 3 chips, expected 1"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                make_configuration(contents)
+            assert str(info.value) == message
+
     def test_wrong_chip_set(self):
         with pytest.raises(ValueError):
             make_configuration([1, (2, 5), 4])

@@ -37,11 +37,11 @@ class TestStabilize:
         assert final == ((1, 2, 3, 4), 2)  # occupancy (1, 2, 0, 3, 4)
 
     def test_one_hole_check(self):
-        # n+1 = 3 chips on sites 0..3 with site 2 doubled: two holes
+        # first chips of sites 0..3 with site 2 doubled (2 under 3): two holes
         with pytest.raises(ValueError) as info:
-            engine._stable_resultant([[1], [], [2, 3], []])
+            engine._read_resultant([1, 0, 2, 0])
         assert str(info.value) == "final state must have exactly one empty site"
-        assert engine._stable_resultant([[1], [2], [], [3]]) == ((1, 2, 3), 2)
+        assert engine._read_resultant([1, 2, 0, 3]) == ((1, 2, 3), 2)
 
     def test_pass_counts(self):
         _, trace = stabilize_passes(parse_configuration("1,(2,3),4"))

@@ -89,7 +89,7 @@ class TestEnumerateConfigurations:
     @pytest.mark.parametrize("n,p", [(n, p) for n in range(1, 6) for p in range(1, n + 1)])
     def test_yields_validated_configurations(self, n, p):
         for config in enumerate_configurations(n, p):
-            assert config == Configuration(n=config.n, p=config.p, sites=config.sites)
+            assert config == Configuration(n=config.n, p=config.p, chips=config.chips)
 
     def test_range_slicing(self):
         full = list(enumerate_configurations(4, 3))
