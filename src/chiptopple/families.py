@@ -10,9 +10,9 @@ families are the excedance-set family, the half-open window family, and
 Callan words that start underlined.
 
 The recognizers in ``FAMILIES`` are the specification behind
-``enumerate_family`` and ``count_family``. ``family_members`` and
-``count_families`` instead classify a permutation v of 1..N at every split
-(x, N-x), 1 <= x <= N-1, with one scan, by three interval rules. With
+``enumerate_family`` and ``count_family``. ``memberships`` instead
+classifies each permutation v of 1..N at every split (x, N-x),
+1 <= x <= N-1, with one scan, by three interval rules. With
 D+ = max(v_i - i) and D- = max(i - v_i):
 
 - Vesztergombi (k, N-k) holds exactly when D- <= k <= N - D+, and the
@@ -24,7 +24,6 @@ D+ = max(v_i - i) and D- = max(i - v_i):
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
 from itertools import permutations
 from typing import Callable, Iterator
 
@@ -245,7 +244,7 @@ def _split_ranges(values: Perm) -> dict[str, range]:
     }
 
 
-def _memberships(size: int) -> Iterator[tuple[tuple[str, int, int], Perm]]:
+def memberships(size: int) -> Iterator[tuple[tuple[str, int, int], Perm]]:
     """
     (key, permutation) for every family membership at every split of size,
     from one pass over S_size in lexicographic order: key (family, x, y)
@@ -256,40 +255,6 @@ def _memberships(size: int) -> Iterator[tuple[tuple[str, int, int], Perm]]:
         for name, xs in _split_ranges(values).items():
             for x in xs:
                 yield (name, x, size - x), values
-
-
-def family_members(size: int) -> dict[tuple[str, int, int], list[Perm]]:
-    """
-    The members of every two-parameter family at every split of size, in
-    lexicographic order: key (family, x, y) with x + y = size, the
-    parameters in the order of ``FAMILIES``.
-    """
-    members: dict[tuple[str, int, int], list[Perm]] = {}
-    for key, values in _memberships(size):
-        members.setdefault(key, []).append(values)
-    return members
-
-
-def count_families(size: int) -> Counter[tuple]:
-    """
-    Count every two-parameter family at every split of size, keyed as in
-    ``family_members``, and the Callan words of each split by first
-    letter, keyed ("callan_first", underlined, overlined, first).
-
-    No recognizer runs: one scan of each permutation v gives every split
-    at once. With D+ = max(v_i - i) and D- = max(i - v_i), v is
-    Vesztergombi (k, N-k) for D- <= k <= N - D+ and a half-open window
-    (N-k, k) for D- <= k <= N - 1 - D+; it has the excedance set of
-    (N-j, j) when that set is {1..j}; and it is a Callan word (u, N-u) for
-    (largest value starting an ascent) <= u <= (smallest value starting a
-    descent) - 1.
-    """
-    counts: Counter[tuple] = Counter()
-    for (name, x, y), values in _memberships(size):
-        counts[name, x, y] += 1
-        if name == "callan":
-            counts["callan_first", x, y, values[0]] += 1
-    return counts
 
 
 def count_acyclic_orientations(n: int, k: int, mode: str = "all") -> int:

@@ -14,7 +14,9 @@ round trips and, through the two (permutation, r) readings of each
 configuration, the (r,p) counts, the marked fibers and the windowed
 readings. The sweep and the all-r counts share one pool per run. Only the
 fixed-size claims (the S_6 marked tables and fiber-class array, the
-S(3,2) listing and the phi loop) topple on their own.
+S(3,2) listing and the phi loop) topple on their own. The permutation
+sets are built once per run too: one families scan per size, and each
+decomposable set by construction.
 """
 from __future__ import annotations
 
@@ -23,8 +25,8 @@ import json
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial, reduce
-from itertools import combinations, islice, permutations
+from functools import cache, partial, reduce
+from itertools import combinations, islice, permutations, product
 from math import comb, factorial
 from operator import add
 from typing import Callable, Hashable, Iterator, Mapping
@@ -52,8 +54,10 @@ PERM_CAP = 8  # enumerate at most 8! permutations by default
 CONFIG_CAP = 7  # enumerate configurations up to n = 7 by default
 ENGINE_N = 6  # verify checks the pass structure and the (r,p) counts on S(n,p) up to n = 6
 READING_N = 5  # and the marked fibers and windowed readings up to n = 5
+ROUND_TRIP_SIZE = 7  # and the Callan/Vesztergombi round trips on sizes 2..7
 
 Sweep = dict[tuple[int, int], Counter]  # (n, p) -> tally of S(n,p), see _sweep_chunk
+Members = dict[tuple[str, int, int], list[Perm]]  # family key -> members, see _scan_families
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +190,37 @@ def _sweep_chunk(args: tuple[int, int, int, int, int]) -> Counter:
 def _observed(tally: Counter, fact: Hashable) -> dict:
     """The values that fact took in a sweep tally, with their counts."""
     return {value: count for (name, value), count in tally.items() if name == fact}
+
+
+def _decomposable(m: int, p: int) -> list[Perm]:
+    """
+    The permutations of 1..m whose first m-p entries are a permutation of
+    1..m-p, the resultants at doubled site p, by construction: every
+    arrangement of 1..m-p followed by every arrangement of m-p+1..m.
+    """
+    halves = permutations(range(1, m - p + 1)), permutations(range(m - p + 1, m + 1))
+    return [head + tail for head, tail in product(*halves)]
+
+
+def _scan_families() -> tuple[dict[int, Counter], Members]:
+    """
+    One ``families.memberships`` scan per size 2..8. Returns, by size, the
+    count of every membership key and of the Callan words by first
+    letter, keyed ("callan_first", underlined, overlined, first); and, for
+    sizes up to ROUND_TRIP_SIZE, the Callan and Vesztergombi members by
+    key, in lexicographic order.
+    """
+    counts: dict[int, Counter] = {}
+    members: Members = {}
+    for size in range(2, 9):
+        tally = counts[size] = Counter()
+        for (name, x, y), values in families.memberships(size):
+            tally[name, x, y] += 1
+            if name == "callan":
+                tally["callan_first", x, y, values[0]] += 1
+            if size <= ROUND_TRIP_SIZE and name in ("callan", "vesztergombi"):
+                members.setdefault((name, x, y), []).append(values)
+    return counts, members
 
 
 def _always(sweep: Sweep, fact: str) -> bool:
@@ -601,7 +636,7 @@ S32_FIBERS = {
 }
 
 
-def _verify_resultants(report: VerifyReport, n_max: int, sweep: Sweep) -> None:
+def _verify_resultants(report: VerifyReport, n_max: int, sweep: Sweep, decomposable: Callable[..., list[Perm]]) -> None:
     # the resultants of S(n,p) for p < n, by n
     fibers = {
         n: [(p, _observed(sweep[n, p], "resultant")) for p in range(1, n)]
@@ -609,10 +644,7 @@ def _verify_resultants(report: VerifyReport, n_max: int, sweep: Sweep) -> None:
     }
     for n, split in fibers.items():
         empty = all(sweep[n, p]["empty site", n - p + 1] == configuration_count(n) for p, _ in split)
-        support = all(
-            set(fiber) == {perm for perm in iter_permutations(n + 1) if families.is_p_resultant(perm, p)}
-            for p, fiber in split
-        )
+        support = all(set(fiber) == set(decomposable(n + 1, p)) for p, fiber in split)
         classes = all(
             size == polybernoulli.count_resultant_class(*record_class(perm, p))
             for p, fiber in split
@@ -643,7 +675,7 @@ N6_P2_R2_TABLE = {(0, 1, 1): 2, (0, 1, 2): 4, (0, 2, 1): 4, (0, 2, 2): 14,
 N6_P3_TABLE = ((1, 1, 1), (1, 3, 7), (1, 7, 31))
 
 
-def _verify_marked(report: VerifyReport, n_max: int, sweep: Sweep) -> None:
+def _verify_marked(report: VerifyReport, n_max: int, sweep: Sweep, decomposable: Callable[..., list[Perm]]) -> None:
     grouped, _ = marked_class_table(6, 2, 2)
     report.add("marked fiber table for resultants in S_6, p=r=2", "", N6_P2_R2_TABLE, grouped)
     for r in (3, 4):
@@ -655,14 +687,9 @@ def _verify_marked(report: VerifyReport, n_max: int, sweep: Sweep) -> None:
         n: [(p, r, _observed(sweep[n - 1, p], ("marked", r))) for p in range(1, n) for r in range(1, n + 1)]
         for n in range(2, min(n_max, READING_N + 1) + 1)
     }
-    decomposable = {
-        (n, p): [perm for perm in iter_permutations(n) if families.is_p_resultant(perm, p)]
-        for n in fibers
-        for p in range(1, n)
-    }
     for n, marked in fibers.items():
         keyed = all(
-            set(fiber) == {perm for perm in decomposable[n, p] if families.validate_r_placement(perm, p, r)}
+            set(fiber) == {perm for perm in decomposable(n, p) if families.validate_r_placement(perm, p, r)}
             for p, r, fiber in marked
         )
         formula = all(
@@ -777,13 +804,13 @@ def _verify_families(report: VerifyReport, family_counts: dict[int, Counter]) ->
         )
 
 
-def _callan_round_trips(total: int) -> Iterator[tuple[bool, bool]]:
+def _callan_round_trips(total: int, members: Members) -> Iterator[tuple[bool, bool]]:
     """
-    For each split (u, o) of total, from one scan of S_total: do the Callan
-    words map onto the Vesztergombi permutations and back, and does each
-    word's first letter sit at the position of o+1 in its image?
+    For each split (u, o) of total, from the members of ``_scan_families``:
+    do the Callan words map onto the Vesztergombi permutations and back,
+    and does each word's first letter sit at the position of o+1 in its
+    image?
     """
-    members = families.family_members(total)
     for u in range(1, total):
         o = total - u
         words = members["callan", u, o]
@@ -812,7 +839,7 @@ def _reduces_fiber(perm: Perm, fiber: list[Configuration], p: int) -> bool:
     )
 
 
-def _verify_bijections(report: VerifyReport) -> None:
+def _verify_bijections(report: VerifyReport, members: Members) -> None:
     word = CallanWord(
         values=(5, 7, 12, 11, 1, 4, 8, 14, 3, 6, 9, 15, 13, 10, 2),
         underlined=9,
@@ -831,8 +858,8 @@ def _verify_bijections(report: VerifyReport) -> None:
         word.values,
         bijections.vesztergombi_to_callan(image, 9, 6).values,
     )
-    sizes = range(2, 8)
-    trips = [trip for total in sizes for trip in _callan_round_trips(total)]
+    sizes = range(2, ROUND_TRIP_SIZE + 1)
+    trips = [trip for total in sizes for trip in _callan_round_trips(total, members)]
     report.add("Callan/Vesztergombi exhaustive roundtrip", f"sizes<={sizes[-1]}", True, all(ok for ok, _ in trips))
     report.add("first letter sits at the position of O+1", f"sizes<={sizes[-1]}", True, all(ok for _, ok in trips))
     sizes = range(1, 6)
@@ -887,18 +914,21 @@ def verify_identities(n_max: int = 7, jobs: int = 1, seeds: int = 5) -> VerifyRe
     )
     sweep: Sweep = dict(zip(swept, sums))
     all_r = dict(zip(counted, sums[len(swept) :]))
-    # one families scan per size, read by the families and correspondences sections
-    family_counts = {size: families.count_families(size) for size in range(2, 9)}
+    # one families scan per size, read by the families, correspondences and
+    # bijections sections, and each decomposable set built once, for the
+    # resultants and marked sections
+    family_counts, members = _scan_families()
+    decomposable = cache(_decomposable)
     report = VerifyReport(n_max=n_max)
     _verify_kernel(report)
     _verify_toppleable(report, sweep)
     _verify_rp_toppleable(report, n_max, sweep)
     _verify_all_r(report, all_r)
-    _verify_resultants(report, n_max, sweep)
-    _verify_marked(report, n_max, sweep)
+    _verify_resultants(report, n_max, sweep, decomposable)
+    _verify_marked(report, n_max, sweep, decomposable)
     _verify_engine(report, n_max, seeds, sweep)
     _verify_correspondences(report, n_max, sweep, family_counts)
     _verify_families(report, family_counts)
-    _verify_bijections(report)
+    _verify_bijections(report, members)
     _verify_core(report, n_max, sweep)
     return report

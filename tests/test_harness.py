@@ -1,8 +1,7 @@
 import hashlib
 import json
-from collections import Counter
 from concurrent.futures import Future
-from itertools import permutations
+from itertools import chain, permutations
 from math import factorial
 
 import pytest
@@ -349,9 +348,30 @@ class TestVerifyReport:
         [
             (
                 families,
-                "count_families",
-                lambda counts, size: counts + Counter({("vesztergombi", 1, 1): size == 2}),
+                "memberships",
+                # one membership too many at size 8, which the round trips (sizes <= 7) do not read
+                lambda scan, size: chain(scan, [(("vesztergombi", 1, 7), tuple(range(1, 9)))] * (size == 8)),
                 "Vesztergombi counts are B(n,k)",
+            ),
+            # one permutation short in a decomposable set D(m,p) that, at
+            # n_max 3, only the support claim or only the marked claim reads
+            (
+                harness,
+                "_decomposable",
+                lambda perms, *args: perms[args == (4, 2) :],
+                "resultant support equals decomposable-prefix set",
+            ),
+            (
+                harness,
+                "_decomposable",
+                lambda perms, *args: perms[args == (3, 2) :],
+                "marked fibers keyed by the record placement rule",
+            ),
+            (
+                harness,
+                "_decomposable",
+                lambda perms, *args: perms[args == (2, 1) :],
+                "marked fibers keyed by the record placement rule",
             ),
             (
                 polybernoulli,
@@ -380,6 +400,18 @@ class TestVerifyReport:
         monkeypatch.setattr(module, name, lambda *args: corrupt(real(*args), *args))
         report = verify_identities(n_max=3, seeds=1)
         assert [item.claim for item in report.items if item.status == MISMATCH] == [claim]
+
+    def test_one_family_scan_per_size(self, monkeypatch):
+        scanned = []
+        real = families.permutations
+
+        def counted(values):
+            scanned.append(len(values))
+            return real(values)
+
+        monkeypatch.setattr(families, "permutations", counted)
+        verify_identities(n_max=3, jobs=1, seeds=1)
+        assert scanned == list(range(2, 9))
 
     def test_text_format_mentions_counts(self):
         report = verify_identities(n_max=2, seeds=1)
