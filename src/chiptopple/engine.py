@@ -30,7 +30,9 @@ a ``ConfinementError`` or the one-hole ``ValueError`` would be raised, and
 it records the layout each pass leaves. ``resultant`` runs the network and
 reads the registers; ``stabilize_passes`` also builds a snapshot after each
 pass. Programs are kept for n <= 8, the largest n that the harness
-enumerates; a larger one is compiled per call, so memory stays bounded.
+enumerates, and a kept program runs as one function generated from its
+comparators, as ``dataclasses`` generates ``__init__``; a larger one is
+compiled per call and interpreted, so memory stays bounded.
 ``stabilize_random`` stays a labelled simulation: it is the independent
 check of the network. By the invariant it runs on two slot lists, the
 first and the second chip of each site, and ends with the same one-hole
@@ -40,16 +42,18 @@ The random schedule draws only at real choice points: when two or more
 sites are eligible. A draw from range(m) is the remainder of a pool
 divided by m, and the pool keeps the quotient. The pool starts as the
 512-bit block blake2b(f"{seed}/{block}") for block 0, and the next block
-is hashed whenever the pool falls below 2^64. A draw thus reduces a number
-of at least 2^64, so its bias is below m/2^64. A run without a choice
-point (every p=1 and p=n configuration) hashes nothing, and a seed replays
-its schedule through ``topple --random --seed``.
+is hashed whenever the pool falls below 2^64 (once per process: the
+harness replays its seeds on every configuration). A draw thus reduces a
+number of at least 2^64, so its bias is below m/2^64. A run without a
+choice point (every p=1 and p=n configuration) hashes nothing, and a seed
+replays its schedule through ``topple --random --seed``.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
-from typing import NamedTuple
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import Configuration, Perm
 
@@ -98,6 +102,17 @@ def _read_resultant(low: list[int]) -> tuple[Perm, int]:
 _REFILL = 1 << 64
 
 
+# 1 024 blocks (about 0.25 MB) hold the 100 seeds a schedule test cycles through per configuration
+@lru_cache(maxsize=1024, typed=True)
+def _block(seed: int, block: int) -> int:
+    """The 512-bit block blake2b(f"{seed}/{block}") as a little-endian int."""
+    # imported here: hashlib loads OpenSSL, about 3.6 MB of RSS that a
+    # process which never draws (the kernel, say) need not map
+    import hashlib
+
+    return int.from_bytes(hashlib.blake2b(f"{seed}/{block}".encode()).digest(), "little")
+
+
 class _Draws:
     """The draws of one seed, taken by divmod from hashed 512-bit blocks."""
 
@@ -111,12 +126,7 @@ class _Draws:
     def below(self, m: int) -> int:
         """The next draw from range(m)."""
         if self.pool < _REFILL:
-            # imported here: hashlib loads OpenSSL, about 3.6 MB of RSS that a
-            # process which never draws (the kernel, say) need not map
-            import hashlib
-
-            digest = hashlib.blake2b(f"{self.seed}/{self.block}".encode()).digest()
-            self.pool = int.from_bytes(digest, "little")
+            self.pool = _block(self.seed, self.block)
             self.block += 1
         self.pool, value = divmod(self.pool, m)
         return value
@@ -184,6 +194,7 @@ class _Program(NamedTuple):
     passes: tuple[_Pass, ...]
     order: tuple[int, ...]  # the registers read left to right, skipping the hole
     empty_site: int
+    run: Callable[[tuple[int, ...]], tuple[Perm, int]]  # chip word -> resultant pair
 
 
 _MEMO_N = 8  # harness enumerations topple up to n = 8: PERM_CAP-size permutations, lifted
@@ -199,7 +210,8 @@ def _program(n: int, p: int) -> _Program:
     smaller chip in i, sent left, and the larger in j, sent right. A site
     is pushed on its step from one chip to two and, by the invariant,
     holds exactly two when it is popped. Programs for n <= _MEMO_N are
-    kept; a larger one is compiled on every call.
+    kept, with a generated ``run``; a larger one is compiled on every call
+    and interpreted.
     """
     program = _PROGRAMS.get((n, p))
     if program is not None:
@@ -237,10 +249,22 @@ def _program(n: int, p: int) -> _Program:
             )
         )
     order, empty_site = _read_resultant([chips[0] if chips else 0 for chips in state])
-    program = _Program(tuple(passes), order, empty_site)
-    if n <= _MEMO_N:
-        _PROGRAMS[n, p] = program
-    return program
+    passes = tuple(passes)
+    if n > _MEMO_N:
+        return _Program(passes, order, empty_site, partial(_interpret, passes, order, empty_site))
+    _PROGRAMS[n, p] = _Program(passes, order, empty_site, _generate(passes, order, empty_site))
+    return _PROGRAMS[n, p]
+
+
+def _generate(passes: tuple[_Pass, ...], order: Perm, empty_site: int) -> Callable:
+    """``run`` of a kept program, register k in local wk; the source holds only ints."""
+    lines = ["def run(chips):", f"    {''.join(f'w{k}, ' for k in range(1, len(order) + 1))}= chips"]
+    for step in passes:
+        lines += [f"    if w{i} > w{j}: w{i}, w{j} = w{j}, w{i}" for i, j in step.comparators]
+    lines.append(f"    return ({''.join(f'w{r}, ' for r in order)}), {empty_site}")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["run"]
 
 
 def _run(w: list[int], comparators: tuple[tuple[int, int], ...]) -> None:
@@ -251,6 +275,14 @@ def _run(w: list[int], comparators: tuple[tuple[int, int], ...]) -> None:
         if a > b:
             w[i] = b
             w[j] = a
+
+
+def _interpret(passes: tuple[_Pass, ...], order: Perm, empty_site: int, chips: Perm) -> tuple[Perm, int]:
+    """``run`` of an unkept program: ``_run`` over its passes."""
+    w = [0, *chips]
+    for step in passes:
+        _run(w, step.comparators)
+    return tuple([w[r] for r in order]), empty_site
 
 
 def stabilize_passes(config: Configuration) -> tuple[tuple[Perm, int], PassTrace]:
@@ -282,8 +314,11 @@ def resultant(config: Configuration) -> tuple[Perm, int]:
     The permutation of 1..n+1 left by stabilization, read left to right
     skipping the empty site, plus the empty site's index.
     """
-    program = _program(config.n, config.p)
-    w = [0, *config.chips]
-    for step in program.passes:
-        _run(w, step.comparators)
-    return tuple([w[r] for r in program.order]), program.empty_site
+    return _program(config.n, config.p).run(config.chips)
+
+
+def resultants(n: int, p: int, words: Iterable[tuple[int, ...]]) -> Iterator[tuple[Perm, int]]:
+    """The ``resultant`` pair of each chip word of S(n,p) in ``words``, in order."""
+    if not 1 <= p <= n:
+        raise ValueError(f"p outside 1..{n}")
+    return map(_program(n, p).run, words)

@@ -4,15 +4,18 @@ identity-verification report.
 Enumeration is chunkable: permutations and configurations are indexed
 lexicographically, workers handle disjoint rank ranges, and partial
 results (counts or tallies) merge by addition, so results do not depend on
-the worker count. The verification report replays every counting identity
-of the library by independent brute force and flags the few places where
-the published tables disagree with their own formulas as documented
-discrepancies instead of failures. One sweep per run topples each
-configuration of S(n,p) once and serves every fact about S(n,p): the
-resultants, the pass structure, the random schedules, the lift and mirror
-round trips and, through the two (permutation, r) readings of each
-configuration, the (r,p) counts, the marked fibers and the windowed
-readings. The sweep and the all-r counts share one pool per run. Only the
+the worker count; ``multiprocessing`` is imported only where a pool of two
+or more workers starts. The loops that read only the resultant (the
+simulating oracle and ``resultant_table``) topple chip words through
+``engine.resultants`` and build no ``Configuration``. The verification
+report replays every counting identity of the library by independent
+brute force and flags the few places where the published tables disagree
+with their own formulas as documented discrepancies instead of failures.
+One sweep per run topples each configuration of S(n,p) once and serves
+every fact about S(n,p): the resultants, the pass structure, the random
+schedules, the lift and mirror round trips and, through the two
+(permutation, r) readings of each configuration, the (r,p) counts, the
+marked fibers and the windowed readings. The sweep and the all-r counts share one pool per run. Only the
 fixed-size claims (the S_6 marked tables and fiber-class array, the
 S(3,2) listing and the phi loop) topple on their own. The permutation
 sets are built once per run too: one families scan per size, and each
@@ -24,11 +27,10 @@ import dataclasses
 import json
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache, partial, reduce
 from itertools import combinations, islice, permutations, product
 from math import comb, factorial
-from operator import add
+from operator import add, eq, itemgetter
 from typing import Callable, Hashable, Iterator, Mapping
 
 from . import bijections, characterize, families, polybernoulli
@@ -47,7 +49,7 @@ from .core import (
     reverse_complement_perm,
     unlift,
 )
-from .engine import resultant, stabilize_passes, stabilize_random
+from .engine import resultant, resultants, stabilize_passes, stabilize_random
 from .families import CallanWord, CapExceeded
 
 PERM_CAP = 8  # enumerate at most 8! permutations by default
@@ -73,14 +75,8 @@ def configuration_count(n: int) -> int:
     return factorial(n + 1) // 2
 
 
-def enumerate_configurations(
-    n: int, p: int, lo: int = 0, hi: int | None = None
-) -> Iterator[Configuration]:
-    """
-    Stream the configurations of n+1 chips with the pair at site p, each
-    exactly once: (n+1 choose 2) pair choices times (n-1)! arrangements,
-    ordered by (pair, arrangement) rank. ``lo``/``hi`` select a rank range.
-    """
+def _chip_words(n: int, p: int, lo: int = 0, hi: int | None = None) -> Iterator[tuple[int, ...]]:
+    """The chip words (``Configuration.chips``) of ``enumerate_configurations(n, p, lo, hi)``."""
     if n > CONFIG_CAP:
         raise CapExceeded(f"n = {n} exceeds the configuration cap {CONFIG_CAP}")
     if not 1 <= p <= n:
@@ -99,7 +95,18 @@ def enumerate_configurations(
         sub_lo = max(lo - base, 0)
         sub_hi = min(hi - base, per_pair)
         for arrangement in islice(permutations(singles), sub_lo, sub_hi):
-            yield Configuration._trusted(n, p, arrangement[: p - 1] + pair + arrangement[p - 1 :])
+            yield arrangement[: p - 1] + pair + arrangement[p - 1 :]
+
+
+def enumerate_configurations(
+    n: int, p: int, lo: int = 0, hi: int | None = None
+) -> Iterator[Configuration]:
+    """
+    Stream the configurations of n+1 chips with the pair at site p, each
+    exactly once: (n+1 choose 2) pair choices times (n-1)! arrangements,
+    ordered by (pair, arrangement) rank. ``lo``/``hi`` select a rank range.
+    """
+    yield from map(partial(Configuration._trusted, n, p), _chip_words(n, p, lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +120,9 @@ def _count_chunk(args: tuple[Callable, Callable, tuple, int, int]) -> int:
     return sum(map(test, enumerator(*sizes, lo, hi)))
 
 
-def _sorts(config: Configuration) -> bool:
-    """Does config topple to the sorted arrangement? (the simulating oracle)"""
-    return resultant(config)[0] == tuple(range(1, config.n + 2))
+def _resultant_perms(n: int, p: int, lo: int, hi: int | None) -> Iterator[Perm]:
+    """The resultant permutations of the configurations of S(n,p) with ranks in [lo, hi), in order."""
+    return map(itemgetter(0), resultants(n, p, _chip_words(n, p, lo, hi)))
 
 
 def _sweep_chunk(args: tuple[int, int, int, int, int]) -> Counter:
@@ -249,6 +256,10 @@ def _parallel_sum(items: list[tuple[Callable, tuple, int]], jobs: int) -> list:
     workers = _pool_size(jobs, sum(total for _, _, total in items))
     if workers <= 1:
         return [worker(prefix + (0, total)) for worker, prefix, total in items]
+    # imported here: the pool loads multiprocessing, about 15 ms and 2 MB
+    # that a process which never starts a pool need not pay
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = [
             [pool.submit(worker, prefix + span) for span in _chunked(total, 4 * workers)]
@@ -259,11 +270,14 @@ def _parallel_sum(items: list[tuple[Callable, tuple, int]], jobs: int) -> list:
 
 def brute_count_toppleable(n: int, p: int, oracle: str = "simulate", jobs: int = 1) -> int:
     """Count configurations toppling to the sorted state, by enumeration."""
-    tests = {"simulate": _sorts, "characterize": characterize.is_p_toppleable}
+    tests = {
+        "simulate": (_resultant_perms, partial(eq, tuple(range(1, n + 2)))),
+        "characterize": (enumerate_configurations, characterize.is_p_toppleable),
+    }
     if oracle not in tests:
         raise ValueError(f"unknown oracle {oracle!r}")
-    next(enumerate_configurations(n, p, 0, 0), None)  # bad sizes raise here, before any pool starts
-    item = (_count_chunk, (enumerate_configurations, tests[oracle], (n, p)), configuration_count(n))
+    next(_chip_words(n, p, 0, 0), None)  # bad sizes raise here, before any pool starts
+    item = (_count_chunk, (*tests[oracle], (n, p)), configuration_count(n))
     return _parallel_sum([item], jobs)[0]
 
 
@@ -331,7 +345,7 @@ def resultant_table(n: int, p: int) -> ClassArray:
     """
     if not 1 <= p <= n - 1:
         raise ValueError(f"p outside 1..{n - 1}")
-    fibers = Counter(resultant(config)[0] for config in enumerate_configurations(n - 1, p))
+    fibers = Counter(_resultant_perms(n - 1, p, 0, None))
     sizes = fiber_classes(fibers, lambda perm: record_class(perm, p))
     counts = tuple(
         tuple(sizes[i, j] for j in range(1, p + 1)) for i in range(1, n - p + 1)

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import json
 import random
 from collections import Counter
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiptopple.core import make_configuration, parse_configuration, reverse_complement, reverse_complement_perm
-from chiptopple import engine
+from chiptopple import engine, harness
 from chiptopple.engine import resultant, stabilize_passes, stabilize_random
 from conftest import oracle_configurations, small_configurations
 
@@ -151,6 +153,45 @@ class TestCompiledSchedule:
         assert [stabilize_random(config, seed)[0] for seed in range(3)] == [final] * 3
         assert (40, p) not in engine._PROGRAMS
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_generated_run_matches_the_interpreter_and_the_random_schedule(self, n):
+        for p in range(1, n + 1):
+            program = engine._program(n, p)
+            configs = list(harness.enumerate_configurations(n, p))
+            generated = list(engine.resultants(n, p, harness._chip_words(n, p)))
+            assert len(generated) == len(configs)
+            for config, final in zip(configs, generated):
+                assert final == _interpreted(program, config.chips)
+                assert final == stabilize_random(config, n)[0]
+                assert final == resultant(config)
+
+    def test_generated_run_on_a_sample_at_n_8(self):
+        rng = random.Random(8)
+        for p in range(1, 9):
+            program = engine._program(8, p)
+            for _ in range(300):
+                config = _shuffled_configuration(8, p, rng)
+                final = program.run(config.chips)
+                assert final == _interpreted(program, config.chips)
+                assert final == stabilize_random(config, p)[0]
+
+    @pytest.mark.parametrize("p", [1, 5, 8])
+    def test_only_kept_programs_are_generated(self, p):
+        assert engine._program(9, p).run.func is engine._interpret
+        assert not isinstance(engine._program(8, p).run, functools.partial)
+
+    def test_resultants_checks_the_site(self):
+        with pytest.raises(ValueError):
+            engine.resultants(3, 4, [])
+
+
+def _interpreted(program, chips):
+    """The resultant pair of ``_run`` over the program's passes."""
+    w = [0, *chips]
+    for step in program.passes:
+        engine._run(w, step.comparators)
+    return tuple([w[r] for r in program.order]), program.empty_site
+
 
 def _reachable_heights(start):
     """Every chip-count vector reachable from ``start`` by toppling any interior site with two chips or more."""
@@ -197,6 +238,18 @@ class TestDraws:
             first, second = engine._Draws(seed), engine._Draws(seed)
             assert [first.below(m) for m in range(2, 202)] == [second.below(m) for m in range(2, 202)]
             assert first.block > 1  # the draws spent more than one 512-bit block
+
+    def test_draws_are_blake2b_blocks_taken_by_divmod(self):
+        for seed in (0, 1, -5, 10**30):
+            pool, block, expected = 0, 0, []
+            for m in range(2, 202):
+                if pool < 1 << 64:
+                    digest = hashlib.blake2b(f"{seed}/{block}".encode()).digest()
+                    pool, block = int.from_bytes(digest, "little"), block + 1
+                pool, value = divmod(pool, m)
+                expected.append(value)
+            draws = engine._Draws(seed)
+            assert [draws.below(m) for m in range(2, 202)] == expected
 
     def test_draws_only_at_choice_points(self, monkeypatch):
         taken = []

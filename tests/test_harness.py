@@ -1,12 +1,17 @@
+import concurrent.futures
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
 from itertools import chain, permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 
-from chiptopple import bijections, families, harness, polybernoulli
+from chiptopple import bijections, engine, families, harness, polybernoulli
 from chiptopple.core import Configuration, lift, parse_configuration, reverse_complement
 from chiptopple.families import CapExceeded
 from chiptopple.harness import (
@@ -54,7 +59,7 @@ def in_process_pools(monkeypatch):
             return done
 
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return pools
 
 
@@ -125,6 +130,12 @@ class TestBruteCounts:
         assert brute_count_toppleable(5, 2, jobs=2) == brute_count_toppleable(5, 2)
         assert brute_T(5, 2, 3, jobs=2) == 22
 
+    def test_importing_the_cli_loads_no_pool(self):
+        # multiprocessing is imported where a pool starts, not by every CLI call
+        env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+        check = 'import sys, chiptopple.cli; assert "multiprocessing" not in sys.modules'
+        subprocess.run([sys.executable, "-c", check], env=env, check=True, timeout=60)
+
     def test_pool_size_is_bounded(self, monkeypatch):
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
         assert harness._pool_size(1, 40) == 1
@@ -150,7 +161,7 @@ class TestBruteCounts:
             raise AssertionError("a process pool was started")
 
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         with pytest.raises(ValueError):
             count()
 
@@ -212,6 +223,34 @@ class TestBruteCounts:
     def test_perm_cap(self):
         with pytest.raises(CapExceeded):
             brute_T(9, 1, 1)
+
+
+def _drop_last_first_pass_comparator(program_of):
+    """A ``_program`` whose networks lose the last comparator of their first pass."""
+
+    def broken(n, p):
+        program = program_of(n, p)
+        first, *rest = program.passes
+        passes = (first._replace(comparators=first.comparators[:-1]), *rest)
+        return program._replace(passes=passes, run=engine._generate(passes, program.order, program.empty_site))
+
+    return broken
+
+
+class TestBrokenNetwork:
+    """The word-level loops read the network: a dropped comparator must show."""
+
+    def test_simulating_oracle_and_table_change(self, monkeypatch):
+        monkeypatch.setattr(engine, "_program", _drop_last_first_pass_comparator(engine._program))
+        assert brute_count_toppleable(2, 1, "simulate") == 1  # 2 with the whole network
+        assert resultant_table(3, 1).counts == ((1,), (1,))  # ((1,), (2,))
+        assert brute_count_toppleable(4, 2, "simulate") == 9  # 23
+        with pytest.raises(AssertionError):
+            resultant_table(5, 2)  # a class with unequal fibers
+
+    def test_characterizing_oracle_does_not_change(self, monkeypatch):
+        monkeypatch.setattr(engine, "_program", _drop_last_first_pass_comparator(engine._program))
+        assert brute_count_toppleable(4, 2, "characterize") == 23
 
 
 class TestResultantTable:
