@@ -74,8 +74,10 @@ def topple(literal: str, use_random: bool, seed: int | None, trace: bool) -> Non
         if trace:
             raise click.UsageError("--trace needs the pass schedule; drop --random and --seed")
         final, _ = engine.stabilize_random(config, 0 if seed is None else seed)
-    else:
+    elif trace:
         final, pass_trace = engine.stabilize_passes(config)
+    else:
+        final = engine.resultant(config)
     perm, empty_site = final
     click.echo(f"resultant: {format_permutation(perm)}, empty-site: {empty_site}")
     if trace:

@@ -24,19 +24,17 @@ in the same order for every configuration of S(n,p); labels only decide
 which chip of a pair goes left. Each toppling is thus a compare-exchange
 of two chip slots, and the schedule is a comparator network of p(n+1-p)
 comparators over n+1 registers, where register k starts as
-``config.chips[k-1]``. ``_program`` compiles it once per (n,p) by running the
-schedule over registers, which only heights steer; that run is also where
-a ``ConfinementError`` or the one-hole ``ValueError`` would be raised, and
-it records the layout each pass leaves. ``resultant`` runs the network and
-reads the registers; ``stabilize_passes`` also builds a snapshot after each
-pass. Programs are kept for n <= 8, the largest n that the harness
-enumerates, and a kept program runs as one function generated from its
-comparators, as ``dataclasses`` generates ``__init__``; a larger one is
-compiled per call and interpreted, so memory stays bounded.
-``stabilize_random`` stays a labelled simulation: it is the independent
-check of the network. By the invariant it runs on two slot lists, the
-first and the second chip of each site, and ends with the same one-hole
-check as ``_program``.
+``config.chips[k-1]``. ``_schedule`` yields it pass by pass, with the
+layout each pass leaves, as a run over registers (which only heights
+steer) finds it; that run raises any ``ConfinementError`` and the one-hole
+``ValueError``. Up to n = 8, the largest n that the harness enumerates,
+the passes are kept with a ``run`` function generated from their
+comparators, as ``dataclasses`` generates ``__init__``. Above that nothing
+is kept: ``resultant`` applies each pass as it comes, in O(n) memory, and
+``stabilize_passes`` builds each snapshot from its pass. ``stabilize_random``
+stays a labelled simulation, the independent check of the network; by the
+invariant it runs on two slot lists, the first and the second chip of each
+site.
 
 The random schedule draws only at real choice points: when two or more
 sites are eligible. A draw from range(m) is the remainder of a pool
@@ -75,28 +73,17 @@ class PassTrace:
     passes: tuple[PassSnapshot, ...]
 
     def to_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    "left_arm": list(s.left_arm),
-                    "active": [list(c) for c in s.active],
-                    "right_arm": list(s.right_arm),
-                    "topples": s.topples,
-                }
-                for s in self.passes
-            ]
-        )
+        # a snapshot's fields, in order, are its JSON keys; tuples dump as lists
+        return json.dumps([vars(s) for s in self.passes])
 
 
 def _read_resultant(low: list[int]) -> tuple[Perm, int]:
     """The resultant of the first chip of each site (0 for none), after the one-hole check."""
-    # n+1 chips on n+2 sites leave at least one hole; exactly one also rules
-    # out a doubled site
-    occupancy = tuple(low)
-    if occupancy.count(0) != 1:
+    # n+1 chips on n+2 sites leave a hole; exactly one also rules out a doubled site
+    if low.count(0) != 1:
         raise ValueError("final state must have exactly one empty site")
-    empty_site = occupancy.index(0)
-    return occupancy[:empty_site] + occupancy[empty_site + 1 :], empty_site
+    empty_site = low.index(0)
+    return tuple(low[:empty_site] + low[empty_site + 1 :]), empty_site
 
 
 _REFILL = 1 << 64
@@ -180,7 +167,7 @@ def stabilize_random(config: Configuration, seed: int) -> tuple[tuple[Perm, int]
 
 
 class _Pass(NamedTuple):
-    """One pass of a program: its comparators and the registers of the layout it leaves."""
+    """One pass of the schedule: its comparators and the registers of the layout it leaves."""
 
     comparators: tuple[tuple[int, int], ...]
     left_arm: tuple[int, ...]
@@ -189,11 +176,9 @@ class _Pass(NamedTuple):
 
 
 class _Program(NamedTuple):
-    """The pass schedule of S(n,p) as a comparator network."""
+    """The kept pass schedule of S(n,p) as a comparator network."""
 
     passes: tuple[_Pass, ...]
-    order: tuple[int, ...]  # the registers read left to right, skipping the hole
-    empty_site: int
     run: Callable[[tuple[int, ...]], tuple[Perm, int]]  # chip word -> resultant pair
 
 
@@ -201,67 +186,73 @@ _MEMO_N = 8  # harness enumerations topple up to n = 8: PERM_CAP-size permutatio
 _PROGRAMS: dict[tuple[int, int], _Program] = {}
 
 
-def _program(n: int, p: int) -> _Program:
+def _schedule(n: int, p: int) -> Iterator[_Pass]:
     """
-    Compile the pass schedule of S(n,p) by running it once over registers:
-    register k is ``config.chips[k-1]``, the k-th chip in site order,
-    numbered from 1 so that 0 still marks an empty site. Toppling a site
-    that holds registers (i, j) is the comparator (i, j), which leaves the
-    smaller chip in i, sent left, and the larger in j, sent right. A site
-    is pushed on its step from one chip to two and, by the invariant,
-    holds exactly two when it is popped. Programs for n <= _MEMO_N are
-    kept, with a generated ``run``; a larger one is compiled on every call
-    and interpreted.
+    Yield the passes of S(n,p) as a run over registers finds them: low[x]
+    and high[x] are the registers of the first and second chip at site x, 0
+    for none, and toppling x is the comparator (low[x], high[x]), which
+    sends the smaller chip left and the larger right. A site is pushed on
+    its step from one chip to two and, by the invariant, holds exactly two
+    when it is popped. The one-hole check runs before the last pass is
+    yielded, so that pass has no active part.
     """
-    program = _PROGRAMS.get((n, p))
-    if program is not None:
-        return program
-    state = [[]] + [[k] for k in range(1, p)] + [[p, p + 1]] + [[k] for k in range(p + 2, n + 2)] + [[]]
-    last = n + 1
-    passes = []
-    while len(state[p]) == 2:
+    low = [0, *range(1, p + 1), *range(p + 2, n + 2), 0]
+    high = [0] * len(low)
+    high[p] = p + 1
+    while high[p]:
         comparators = []
         stack = [p]
         while stack:
             site = stack.pop()
-            if site == 0 or site == last:
+            if not 0 < site <= n:
                 raise ConfinementError(f"end site {site} became eligible")
-            chips = state[site]
-            i, j = chips
-            chips.clear()
-            left = state[site - 1]
-            right = state[site + 1]
-            left.append(i)
-            right.append(j)
+            i = low[site]
+            j = high[site]
+            low[site] = high[site] = 0
             comparators.append((i, j))
-            if len(left) == 2 and site - 1 != p:
-                stack.append(site - 1)
-            if len(right) == 2 and site + 1 != p:
-                stack.append(site + 1)
-        first_hole = state.index([])
-        last_hole = last - state[::-1].index([])
-        passes.append(
-            _Pass(
-                tuple(comparators),
-                tuple([chips[0] for chips in state[:first_hole]]),
-                tuple(map(tuple, filter(None, state[first_hole + 1 : last_hole]))),
-                tuple([chips[0] for chips in state[last_hole + 1 :]]),
-            )
+            left = site - 1
+            if low[left]:
+                high[left] = i
+                if left != p:
+                    stack.append(left)
+            else:
+                low[left] = i
+            right = site + 1
+            if low[right]:
+                high[right] = j
+                if right != p:
+                    stack.append(right)
+            else:
+                low[right] = j
+        if not high[p]:
+            _read_resultant(low)  # the one-hole check, before the last pass
+        first_hole = low.index(0)
+        last_hole = n + 1 - low[::-1].index(0)
+        yield _Pass(
+            tuple(comparators),
+            tuple(low[:first_hole]),
+            tuple([(low[x], high[x]) if high[x] else (low[x],) for x in range(first_hole + 1, last_hole) if low[x]]),
+            tuple(low[last_hole + 1 :]),
         )
-    order, empty_site = _read_resultant([chips[0] if chips else 0 for chips in state])
-    passes = tuple(passes)
-    if n > _MEMO_N:
-        return _Program(passes, order, empty_site, partial(_interpret, passes, order, empty_site))
-    _PROGRAMS[n, p] = _Program(passes, order, empty_site, _generate(passes, order, empty_site))
-    return _PROGRAMS[n, p]
 
 
-def _generate(passes: tuple[_Pass, ...], order: Perm, empty_site: int) -> Callable:
+def _program(n: int, p: int) -> _Program:
+    """The kept program of S(n,p), n <= _MEMO_N: its passes and their generated ``run``."""
+    program = _PROGRAMS.get((n, p))
+    if program is None:
+        passes = tuple(_schedule(n, p))
+        program = _PROGRAMS[n, p] = _Program(passes, _generate(passes))
+    return program
+
+
+def _generate(passes: tuple[_Pass, ...]) -> Callable:
     """``run`` of a kept program, register k in local wk; the source holds only ints."""
+    last = passes[-1]
+    order = last.left_arm + last.right_arm
     lines = ["def run(chips):", f"    {''.join(f'w{k}, ' for k in range(1, len(order) + 1))}= chips"]
     for step in passes:
         lines += [f"    if w{i} > w{j}: w{i}, w{j} = w{j}, w{i}" for i, j in step.comparators]
-    lines.append(f"    return ({''.join(f'w{r}, ' for r in order)}), {empty_site}")
+    lines.append(f"    return ({''.join(f'w{r}, ' for r in order)}), {len(last.left_arm)}")
     namespace: dict = {}
     exec("\n".join(lines), namespace)
     return namespace["run"]
@@ -277,12 +268,12 @@ def _run(w: list[int], comparators: tuple[tuple[int, int], ...]) -> None:
             w[j] = a
 
 
-def _interpret(passes: tuple[_Pass, ...], order: Perm, empty_site: int, chips: Perm) -> tuple[Perm, int]:
-    """``run`` of an unkept program: ``_run`` over its passes."""
+def _streamed(n: int, p: int, chips: tuple[int, ...]) -> tuple[Perm, int]:
+    """The resultant pair of a chip word of S(n,p), n > _MEMO_N: each pass applied as it is found."""
     w = [0, *chips]
-    for step in passes:
+    for step in _schedule(n, p):
         _run(w, step.comparators)
-    return tuple([w[r] for r in order]), empty_site
+    return tuple([w[r] for r in step.left_arm + step.right_arm]), len(step.left_arm)
 
 
 def stabilize_passes(config: Configuration) -> tuple[tuple[Perm, int], PassTrace]:
@@ -292,11 +283,11 @@ def stabilize_passes(config: Configuration) -> tuple[tuple[Perm, int], PassTrace
     ``resultant`` pair and a snapshot (left arm, active part, right arm)
     after each pass.
     """
-    program = _program(config.n, config.p)
+    n, p = config.n, config.p
     w = [0, *config.chips]
     read = w.__getitem__
     snapshots = []
-    for step in program.passes:
+    for step in _program(n, p).passes if n <= _MEMO_N else _schedule(n, p):
         _run(w, step.comparators)
         snapshots.append(
             PassSnapshot(
@@ -306,7 +297,8 @@ def stabilize_passes(config: Configuration) -> tuple[tuple[Perm, int], PassTrace
                 topples=len(step.comparators),
             )
         )
-    return (tuple(map(read, program.order)), program.empty_site), PassTrace(tuple(snapshots))
+    last = snapshots[-1]
+    return (last.left_arm + last.right_arm, len(last.left_arm)), PassTrace(tuple(snapshots))
 
 
 def resultant(config: Configuration) -> tuple[Perm, int]:
@@ -314,6 +306,8 @@ def resultant(config: Configuration) -> tuple[Perm, int]:
     The permutation of 1..n+1 left by stabilization, read left to right
     skipping the empty site, plus the empty site's index.
     """
+    if config.n > _MEMO_N:
+        return _streamed(config.n, config.p, config.chips)
     return _program(config.n, config.p).run(config.chips)
 
 
@@ -321,4 +315,4 @@ def resultants(n: int, p: int, words: Iterable[tuple[int, ...]]) -> Iterator[tup
     """The ``resultant`` pair of each chip word of S(n,p) in ``words``, in order."""
     if not 1 <= p <= n:
         raise ValueError(f"p outside 1..{n}")
-    return map(_program(n, p).run, words)
+    return map(partial(_streamed, n, p) if n > _MEMO_N else _program(n, p).run, words)

@@ -15,11 +15,11 @@ One sweep per run topples each configuration of S(n,p) once and serves
 every fact about S(n,p): the resultants, the pass structure, the random
 schedules, the lift and mirror round trips and, through the two
 (permutation, r) readings of each configuration, the (r,p) counts, the
-marked fibers and the windowed readings. The sweep and the all-r counts share one pool per run. Only the
-fixed-size claims (the S_6 marked tables and fiber-class array, the
-S(3,2) listing and the phi loop) topple on their own. The permutation
-sets are built once per run too: one families scan per size, and each
-decomposable set by construction.
+marked fibers and the windowed readings. The sweep and the all-r counts
+share one pool per run. Only the fixed-size claims (the S_6 marked tables
+and fiber-class array, the S(3,2) listing and the phi loop) topple on
+their own. The permutation sets are built once per run too: one families
+scan per size, and each decomposable set by construction.
 """
 from __future__ import annotations
 
@@ -81,6 +81,8 @@ def _chip_words(n: int, p: int, lo: int = 0, hi: int | None = None) -> Iterator[
         raise CapExceeded(f"n = {n} exceeds the configuration cap {CONFIG_CAP}")
     if not 1 <= p <= n:
         raise ValueError(f"p outside 1..{n}")
+    if lo < 0 or (hi is not None and hi < 0):
+        raise ValueError("rank bounds must be non-negative")
     chips = tuple(range(1, n + 2))
     per_pair = factorial(n - 1)
     total = comb(n + 1, 2) * per_pair
@@ -104,7 +106,8 @@ def enumerate_configurations(
     """
     Stream the configurations of n+1 chips with the pair at site p, each
     exactly once: (n+1 choose 2) pair choices times (n-1)! arrangements,
-    ordered by (pair, arrangement) rank. ``lo``/``hi`` select a rank range.
+    ordered by (pair, arrangement) rank. ``lo``/``hi`` select a rank range;
+    a negative bound raises ``ValueError``.
     """
     yield from map(partial(Configuration._trusted, n, p), _chip_words(n, p, lo, hi))
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import validate
 
+from chiptopple import engine
 from chiptopple.cli import cli
 from chiptopple.core import format_configuration, format_permutation
 from conftest import small_configurations
@@ -42,6 +43,19 @@ class TestTopple:
                 runner, "topple", "--config", "4,(3,2),1", "--random", "--seed", seed
             )
             assert randomized.output == deterministic.output
+
+    @pytest.mark.parametrize("literal", ["4,(3,2),1", "7,3,1,5,(2,4),6,8", "5,12,1,9,(3,13),7,2,11,4,10,6,8"])
+    def test_plain_topple_builds_no_pass_trace(self, runner, monkeypatch, literal):
+        calls = []
+        passes = engine.stabilize_passes
+        monkeypatch.setattr(engine, "stabilize_passes", lambda config: calls.append(config) or passes(config))
+        plain = run(runner, "topple", "--config", literal)
+        assert plain.exit_code == 0
+        assert plain.output == run(runner, "topple", "--config", literal, "--random").output
+        assert calls == []
+        traced = run(runner, "topple", "--config", literal, "--trace")
+        assert len(calls) == 1
+        assert traced.output.startswith(plain.output)
 
     def test_trace_validates_against_schema(self, runner):
         schema = json.loads((SCHEMAS / "pass-trace.schema.json").read_text())

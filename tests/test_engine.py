@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -138,20 +139,49 @@ class TestCompiledSchedule:
         rng = random.Random(9)
         for n in range(9, 13):
             for p in range(1, n + 1):
-                resultant(_shuffled_configuration(n, p, rng))
+                config = _shuffled_configuration(n, p, rng)
+                resultant(config)
+                stabilize_passes(config)
+                list(engine.resultants(n, p, [config.chips]))
         assert all(n <= 8 for n, _ in engine._PROGRAMS)
         for n in range(1, 9):
             for p in range(1, n + 1):
                 resultant(_shuffled_configuration(n, p, rng))
         assert len(engine._PROGRAMS) == 36
 
-    @pytest.mark.parametrize("p", [1, 7, 20, 33, 40])
+    @pytest.mark.parametrize("p", [1, 7, 20, 33, 40, 100, 200])
     def test_unkept_program_agrees_with_the_random_schedule(self, p):
-        config = _shuffled_configuration(40, p, random.Random(p))
-        final = resultant(config)
-        assert stabilize_passes(config)[0] == final
-        assert [stabilize_random(config, seed)[0] for seed in range(3)] == [final] * 3
-        assert (40, p) not in engine._PROGRAMS
+        for n in (40, 200):
+            if p > n:
+                continue
+            config = _shuffled_configuration(n, p, random.Random(p))
+            final = resultant(config)
+            assert stabilize_passes(config)[0] == final
+            assert list(engine.resultants(n, p, [config.chips])) == [final]
+            assert [stabilize_random(config, seed)[0] for seed in range(3)] == [final] * 3
+            assert (n, p) not in engine._PROGRAMS
+
+    def test_resultant_memory_is_linear_above_n_8(self):
+        """One ``resultant`` call holds O(n) memory, not the p(n+1-p) comparators of its network."""
+        peaks = {}
+        for n in (400, 800, 1600):
+            config = _shuffled_configuration(n, n // 2, random.Random(n))
+            tracemalloc.start()
+            try:
+                resultant(config)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[800] < 2.5 * peaks[400]
+        assert peaks[1600] < 1_000_000
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 40])
+    def test_last_pass_leaves_one_hole(self, n):
+        for p in range(1, n + 1):
+            *_, last = engine._schedule(n, p)
+            assert last.active == ()
+            assert sorted(last.left_arm + last.right_arm) == list(range(1, n + 2))
+            assert len(last.left_arm) == n - p + 1
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_generated_run_matches_the_interpreter_and_the_random_schedule(self, n):
@@ -173,11 +203,16 @@ class TestCompiledSchedule:
                 config = _shuffled_configuration(8, p, rng)
                 final = program.run(config.chips)
                 assert final == _interpreted(program, config.chips)
+                assert final == engine._streamed(8, p, config.chips)
                 assert final == stabilize_random(config, p)[0]
 
     @pytest.mark.parametrize("p", [1, 5, 8])
     def test_only_kept_programs_are_generated(self, p):
-        assert engine._program(9, p).run.func is engine._interpret
+        config = _shuffled_configuration(9, p, random.Random(p))
+        resultant(config)
+        stabilize_passes(config)
+        list(engine.resultants(9, p, [config.chips]))
+        assert (9, p) not in engine._PROGRAMS
         assert not isinstance(engine._program(8, p).run, functools.partial)
 
     def test_resultants_checks_the_site(self):
@@ -186,11 +221,12 @@ class TestCompiledSchedule:
 
 
 def _interpreted(program, chips):
-    """The resultant pair of ``_run`` over the program's passes."""
+    """The resultant pair of ``_run`` over the program's passes, read through the arms of the last."""
     w = [0, *chips]
     for step in program.passes:
         engine._run(w, step.comparators)
-    return tuple([w[r] for r in program.order]), program.empty_site
+    last = program.passes[-1]
+    return tuple([w[r] for r in last.left_arm + last.right_arm]), len(last.left_arm)
 
 
 def _reachable_heights(start):

@@ -108,6 +108,13 @@ class TestEnumerateConfigurations:
         with pytest.raises(CapExceeded):
             next(enumerate_configurations(8, 1))
 
+    @pytest.mark.parametrize("lo,hi", [(-5, 3), (0, -2)])
+    def test_negative_ranks_raise(self, lo, hi):
+        with pytest.raises(ValueError):
+            list(enumerate_configurations(3, 2, lo, hi))
+        with pytest.raises(ValueError):
+            list(iter_permutations(3, lo, hi))
+
 
 class TestBruteCounts:
     def test_toppleable_examples(self):
@@ -232,7 +239,7 @@ def _drop_last_first_pass_comparator(program_of):
         program = program_of(n, p)
         first, *rest = program.passes
         passes = (first._replace(comparators=first.comparators[:-1]), *rest)
-        return program._replace(passes=passes, run=engine._generate(passes, program.order, program.empty_site))
+        return program._replace(passes=passes, run=engine._generate(passes))
 
     return broken
 
