@@ -14,13 +14,26 @@ from .core import Configuration, Perm, inverse, lift
 def is_p_toppleable(config: Configuration) -> bool:
     """
     Window test: chip i (1 <= i <= n+1) must sit on a site in
-    [p+i-n-1, p+i-1]. Both chips of the pair count as sitting on p, where
-    the window is never violated, so only the single chips constrain.
+    [p+i-n-1, p+i-1]. See ``is_p_toppleable_word``.
     """
-    n, p = config.n, config.p
-    for k, chip in enumerate(config.chips):
-        site = k + 1 if k < p else k
-        if not p + chip - n - 1 <= site <= p + chip - 1:
+    return is_p_toppleable_word(config.chips, config.n, config.p)
+
+
+def is_p_toppleable_word(chips: tuple[int, ...], n: int, p: int) -> bool:
+    """
+    The window test on a chip word of S(n,p) (``Configuration.chips``).
+    Both chips of the pair sit on p, where the window is never violated. A
+    single chip c on site s < p can only sit left of its window, so it
+    needs c - s <= n+1-p; one on site s > p can only sit right of it, so
+    it needs c - s >= 1-p.
+    """
+    top = n + 1 - p
+    for site, chip in enumerate(chips[: p - 1], 1):
+        if chip - site > top:
+            return False
+    bottom = 1 - p
+    for site, chip in enumerate(chips[p + 1 :], p + 1):
+        if chip - site < bottom:
             return False
     return True
 

@@ -5,21 +5,23 @@ Enumeration is chunkable: permutations and configurations are indexed
 lexicographically, workers handle disjoint rank ranges, and partial
 results (counts or tallies) merge by addition, so results do not depend on
 the worker count; ``multiprocessing`` is imported only where a pool of two
-or more workers starts. The loops that read only the resultant (the
-simulating oracle and ``resultant_table``) topple chip words through
-``engine.resultants`` and build no ``Configuration``. The verification
-report replays every counting identity of the library by independent
-brute force and flags the few places where the published tables disagree
-with their own formulas as documented discrepancies instead of failures.
-One sweep per run topples each configuration of S(n,p) once and serves
-every fact about S(n,p): the resultants, the pass structure, the random
-schedules, the lift and mirror round trips and, through the two
+or more workers starts. The configuration counters, ``resultant_table``
+and the verify sweep walk chip words: they topple them through
+``engine.resultants`` and test the window on the word, so they build a
+``Configuration`` only for a library function that takes one. The
+verification report replays every counting identity of the library by
+independent brute force and flags the few places where the published
+tables disagree with their own formulas as documented discrepancies
+instead of failures. One sweep per run topples each configuration of
+S(n,p) once and serves every fact about S(n,p): the resultants, the
+random schedules, the lift and mirror round trips and, through the two
 (permutation, r) readings of each configuration, the (r,p) counts, the
-marked fibers and the windowed readings. The sweep and the all-r counts
-share one pool per run. Only the fixed-size claims (the S_6 marked tables
-and fiber-class array, the S(3,2) listing and the phi loop) topple on
-their own. The permutation sets are built once per run too: one families
-scan per size, and each decomposable set by construction.
+marked fibers and the windowed readings; the pass structure, one network
+for all of S(n,p), it reads once. The sweep and the all-r counts share
+one pool per run. Only the fixed-size claims (the S_6 marked tables and
+fiber-class array, the S(3,2) listing and the phi loop) topple on their
+own. The permutation sets are built once per run too: one families scan
+per size, and each decomposable set by construction.
 """
 from __future__ import annotations
 
@@ -28,12 +30,12 @@ import json
 import os
 from collections import Counter
 from functools import cache, partial, reduce
-from itertools import combinations, islice, permutations, product
+from itertools import chain, combinations, islice, permutations, product, tee
 from math import comb, factorial
 from operator import add, eq, itemgetter
 from typing import Callable, Hashable, Iterator, Mapping
 
-from . import bijections, characterize, families, polybernoulli
+from . import bijections, characterize, engine, families, polybernoulli
 from .core import (
     Configuration,
     Perm,
@@ -49,7 +51,7 @@ from .core import (
     reverse_complement_perm,
     unlift,
 )
-from .engine import resultant, resultants, stabilize_passes, stabilize_random
+from .engine import resultant, resultants, stabilize_random
 from .families import CallanWord, CapExceeded
 
 PERM_CAP = 8  # enumerate at most 8! permutations by default
@@ -128,55 +130,61 @@ def _resultant_perms(n: int, p: int, lo: int, hi: int | None) -> Iterator[Perm]:
     return map(itemgetter(0), resultants(n, p, _chip_words(n, p, lo, hi)))
 
 
+def _pass_facts(n: int, p: int) -> tuple[tuple[str, object], ...]:
+    """
+    The pass facts of S(n,p), read once from the network that all of S(n,p)
+    shares: the pass count, the first pass's topplings beyond n, and whether
+    the arms are frozen: each pass's arm registers are a prefix and a suffix
+    of the final read order (hole included) that no later pass touches.
+    """
+    passes = engine._program(n, p).passes
+    order = passes[-1].left_arm + (0,) + passes[-1].right_arm  # register 0: the hole
+    touched: set[int] = set()
+    frozen = True
+    for step in reversed(passes):
+        left, right = step.left_arm, step.right_arm
+        frozen &= left == order[: len(left)] and right == order[len(order) - len(right) :]
+        frozen &= touched.isdisjoint(left + right)
+        touched.update(chain.from_iterable(step.comparators))
+    return ("passes", len(passes)), ("first pass", len(passes[0].comparators) - n), ("arms frozen", frozen)
+
+
 def _sweep_chunk(args: tuple[int, int, int, int, int]) -> Counter:
     """
-    Topple the configurations of S(n,p) with ranks in [lo, hi) once each,
-    by passes, and tally what the verify report reads from them:
-    tally[fact, value] counts the configurations on which fact took value.
-    Only n <= ENGINE_N needs a pass trace; above it ``resultant`` suffices,
-    and either way the final state is the (resultant, empty site) pair.
-    The facts are the resultant, the empty site and the window oracle's
-    verdict; for n <= ENGINE_N also the pass count, the first pass's
-    topplings beyond n, whether every pass's arms are frozen in the final
-    occupancy (the resultant with a 0 put back at the empty site) and
-    whether the mirrored configuration topples to the mirrored resultant.
+    Topple the chip words of S(n,p) with ranks in [lo, hi) once each and
+    tally what the verify report reads: tally[fact, value] counts the
+    configurations on which fact took value. The facts are the resultant,
+    the empty site and the window verdict; for n <= ENGINE_N also the
+    ``_pass_facts`` (counted for every word of the chunk) and whether the
+    mirrored word, toppled in S(n, n+1-p), gives the mirrored resultant.
     A configuration is also read twice, as ``lift(perm, r, p)`` with r
     either chip of the pair, so S(n,p) holds every (perm, r) once: for
     n <= ENGINE_N, "rp toppleable" r counts the readings toppling to the
     identity, T(n,p,r); for n <= READING_N, (("marked", r), resultant)
     counts the fiber that ``resultant_counts_marked(n + 1, p, r)`` gives,
     and "reading window" is whether the window verdict agrees with the
-    Vesztergombi window of ``map_w(config, r)``, read after site p.
-    For n <= READING_N it also tallies "schedules agree" (the random
-    schedules of seeds 0..seeds-1 all reach the passes' pair),
-    "lift inverts unlift" (for both ``unlift`` readings) and "mirror
-    involution" (``reverse_complement`` goes to S(n, n+1-p) and back).
+    Vesztergombi window of ``map_w(config, r)``, read after site p. For
+    n <= READING_N it also tallies "schedules agree" (the random schedules
+    of seeds 0..seeds-1 all reach the network's pair), "lift inverts
+    unlift" (for both ``unlift`` readings) and "mirror involution"
+    (``reverse_complement`` goes to S(n, n+1-p) and back). Only these
+    library calls get a ``Configuration``, unvalidated, for n <= ENGINE_N.
     """
     n, p, seeds, lo, hi = args
     tally: Counter = Counter()
-    for config in enumerate_configurations(n, p, lo, hi):
-        if n > ENGINE_N:
-            final = resultant(config)
-        else:
-            final, trace = stabilize_passes(config)
-        perm, empty_site = final
-        window = characterize.is_p_toppleable(config)
+    if n <= ENGINE_N and hi > lo:
+        tally.update(dict.fromkeys(_pass_facts(n, p), hi - lo))
+    words, fed = tee(_chip_words(n, p, lo, hi))
+    for chips, (perm, empty_site) in zip(words, resultants(n, p, fed)):
+        window = characterize.is_p_toppleable_word(chips, n, p)
         tally["resultant", perm] += 1
         tally["empty site", empty_site] += 1
         tally["window", window] += 1
         if n > ENGINE_N:
             continue
-        occupancy = perm[:empty_site] + (0,) + perm[empty_site:]
-        frozen = all(
-            snap.left_arm == occupancy[: len(snap.left_arm)]
-            and snap.right_arm == occupancy[len(occupancy) - len(snap.right_arm) :]
-            for snap in trace.passes
-        )
+        config = Configuration._trusted(n, p, chips)
         mirror = reverse_complement(config)
-        mirrored, _ = resultant(mirror)
-        tally["passes", len(trace.passes)] += 1
-        tally["first pass", trace.passes[0].topples - n] += 1
-        tally["arms frozen", frozen] += 1
+        [(mirrored, _)] = resultants(n, n + 1 - p, [mirror.chips])
         tally["mirror commutes", mirrored == reverse_complement_perm(perm)] += 1
         for r in config.pair:
             if window:
@@ -188,7 +196,7 @@ def _sweep_chunk(args: tuple[int, int, int, int, int]) -> Counter:
                 tally["reading window", window == windowed] += 1
         if n > READING_N:
             continue
-        scheduled = all(stabilize_random(config, seed)[0] == final for seed in range(seeds))
+        scheduled = all(stabilize_random(config, seed)[0] == (perm, empty_site) for seed in range(seeds))
         readings = unlift(config)
         lifted = len(readings) == 2 and all(lift(q, r, p) == config for q, r in readings)
         tally["schedules agree", scheduled] += 1
@@ -275,7 +283,7 @@ def brute_count_toppleable(n: int, p: int, oracle: str = "simulate", jobs: int =
     """Count configurations toppling to the sorted state, by enumeration."""
     tests = {
         "simulate": (_resultant_perms, partial(eq, tuple(range(1, n + 2)))),
-        "characterize": (enumerate_configurations, characterize.is_p_toppleable),
+        "characterize": (_chip_words, partial(characterize.is_p_toppleable_word, n=n, p=p)),
     }
     if oracle not in tests:
         raise ValueError(f"unknown oracle {oracle!r}")
@@ -350,9 +358,7 @@ def resultant_table(n: int, p: int) -> ClassArray:
         raise ValueError(f"p outside 1..{n - 1}")
     fibers = Counter(_resultant_perms(n - 1, p, 0, None))
     sizes = fiber_classes(fibers, lambda perm: record_class(perm, p))
-    counts = tuple(
-        tuple(sizes[i, j] for j in range(1, p + 1)) for i in range(1, n - p + 1)
-    )
+    counts = tuple(tuple(sizes[i, j] for j in range(1, p + 1)) for i in range(1, n - p + 1))
     return ClassArray(n=n, p=p, counts=counts)
 
 
@@ -452,9 +458,7 @@ class VerifyReport:
         self.items.append(VerifyItem(claim, str(params), str(expected), str(actual), status))
 
     def note(self, claim: str, params: object, expected: object, actual: object) -> None:
-        self.items.append(
-            VerifyItem(claim, str(params), str(expected), str(actual), DOCUMENTED)
-        )
+        self.items.append(VerifyItem(claim, str(params), str(expected), str(actual), DOCUMENTED))
 
     @property
     def ok(self) -> bool:
@@ -479,13 +483,9 @@ class VerifyReport:
         lines = []
         for item in self.items:
             flag = {MATCH: "ok", MISMATCH: "FAIL", DOCUMENTED: "note"}[item.status]
-            lines.append(
-                f"[{flag:4}] {item.claim} {item.params}: expected {item.expected}, got {item.actual}"
-            )
+            lines.append(f"[{flag:4}] {item.claim} {item.params}: expected {item.expected}, got {item.actual}")
         s = self.summary()
-        lines.append(
-            f"{s[MATCH]} matched, {s[MISMATCH]} mismatched, {s[DOCUMENTED]} documented"
-        )
+        lines.append(f"{s[MATCH]} matched, {s[MISMATCH]} mismatched, {s[DOCUMENTED]} documented")
         return "\n".join(lines)
 
 

@@ -1,6 +1,11 @@
 import pytest
 
-from chiptopple.characterize import is_all_r_toppleable, is_p_toppleable, is_rp_toppleable
+from chiptopple.characterize import (
+    is_all_r_toppleable,
+    is_p_toppleable,
+    is_p_toppleable_word,
+    is_rp_toppleable,
+)
 from chiptopple.core import identity, parse_configuration
 from chiptopple.engine import resultant
 from conftest import oracle_configurations, oracle_permutations
@@ -21,6 +26,12 @@ class TestWindowOnConfigurations:
     def test_window_equals_simulation(self, n, p):
         for config in oracle_configurations(n, p):
             assert is_p_toppleable(config) == (resultant(config)[0] == tuple(range(1, n + 2)))
+
+    @pytest.mark.parametrize("n,p", [(n, p) for n in range(1, 8) for p in range(1, n + 1)])
+    def test_word_form_equals_window_and_simulation(self, n, p):
+        for config in oracle_configurations(n, p):
+            toppled = resultant(config)[0] == tuple(range(1, n + 2))
+            assert is_p_toppleable_word(config.chips, n, p) == is_p_toppleable(config) == toppled
 
 
 class TestMarkedWindow:

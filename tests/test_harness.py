@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from concurrent.futures import Future
 from itertools import chain, permutations
 from math import factorial
@@ -218,6 +219,14 @@ class TestBruteCounts:
         assert tally["reading window", False] == 0
         assert tally["reading window", True] == (2 * configuration_count(n) if n <= harness.READING_N else 0)
 
+    @pytest.mark.parametrize("n,p", [(n, p) for n in range(1, 7) for p in range(1, n + 1)])
+    def test_pass_facts_match_the_traced_loop(self, n, p):
+        # the network is read once per (n,p); the reference traces every configuration
+        tally = harness._sweep_chunk((n, p, 1, 0, configuration_count(n)))
+        reference = _traced_facts(n, p)
+        assert _facts_of(tally, reference) == reference
+        assert reference["arms frozen", True] == configuration_count(n)
+
     def test_T_examples(self):
         assert brute_T(5, 2, 3) == 22
         # row p=3 of the n=4 table reads (8, 7, 7, 10, 14); r=5 is its last entry
@@ -232,23 +241,75 @@ class TestBruteCounts:
             brute_T(9, 1, 1)
 
 
-def _drop_last_first_pass_comparator(program_of):
-    """A ``_program`` whose networks lose the last comparator of their first pass."""
+def _traced_facts(n, p):
+    """
+    The resultant, empty site and pass facts of every configuration of
+    S(n,p), each read from its own ``stabilize_passes`` trace: the arms
+    are frozen when every snapshot's arms equal the ends of the final
+    occupancy (the resultant with a 0 put back at the empty site).
+    """
+    tally = Counter()
+    for config in enumerate_configurations(n, p):
+        (perm, empty_site), trace = engine.stabilize_passes(config)
+        occupancy = perm[:empty_site] + (0,) + perm[empty_site:]
+        frozen = all(
+            snap.left_arm == occupancy[: len(snap.left_arm)]
+            and snap.right_arm == occupancy[len(occupancy) - len(snap.right_arm) :]
+            for snap in trace.passes
+        )
+        tally["resultant", perm] += 1
+        tally["empty site", empty_site] += 1
+        tally["passes", len(trace.passes)] += 1
+        tally["first pass", trace.passes[0].topples - n] += 1
+        tally["arms frozen", frozen] += 1
+    return tally
+
+
+def _facts_of(tally, reference):
+    """The part of a sweep tally that tallies the facts named in reference."""
+    names = {name for name, _ in reference}
+    return Counter({key: count for key, count in tally.items() if key[0] in names})
+
+
+def _engine_claims(n, p, tally):
+    """``_verify_engine``'s (claim, status) pairs, fed the sweep tally of S(n,p) alone."""
+    report = harness.VerifyReport(n_max=n)
+    harness._verify_engine(report, n, 1, {(n, p): tally})
+    return [(item.claim, item.status) for item in report.items]
+
+
+def _patched(program_of, edit):
+    """A ``_program`` whose networks have their passes rewritten by ``edit``."""
 
     def broken(n, p):
         program = program_of(n, p)
-        first, *rest = program.passes
-        passes = (first._replace(comparators=first.comparators[:-1]), *rest)
+        passes = edit(program.passes)
         return program._replace(passes=passes, run=engine._generate(passes))
 
     return broken
+
+
+def _drop_last_first_pass_comparator(passes):
+    first, *rest = passes
+    return (first._replace(comparators=first.comparators[:-1]), *rest)
+
+
+def _append_arm_comparator(passes):
+    # the first register of the read order sits in the first pass's left arm;
+    # a comparator with the next one swaps them on some configurations only
+    first, last = passes[0], passes[-1]
+    order = last.left_arm + last.right_arm
+    return (*passes[:-1], last._replace(comparators=last.comparators + ((first.left_arm[0], order[1]),)))
+
+
+ARMS_CLAIM = "arms are frozen prefixes/suffixes of the final state"
 
 
 class TestBrokenNetwork:
     """The word-level loops read the network: a dropped comparator must show."""
 
     def test_simulating_oracle_and_table_change(self, monkeypatch):
-        monkeypatch.setattr(engine, "_program", _drop_last_first_pass_comparator(engine._program))
+        monkeypatch.setattr(engine, "_program", _patched(engine._program, _drop_last_first_pass_comparator))
         assert brute_count_toppleable(2, 1, "simulate") == 1  # 2 with the whole network
         assert resultant_table(3, 1).counts == ((1,), (1,))  # ((1,), (2,))
         assert brute_count_toppleable(4, 2, "simulate") == 9  # 23
@@ -256,8 +317,40 @@ class TestBrokenNetwork:
             resultant_table(5, 2)  # a class with unequal fibers
 
     def test_characterizing_oracle_does_not_change(self, monkeypatch):
-        monkeypatch.setattr(engine, "_program", _drop_last_first_pass_comparator(engine._program))
+        monkeypatch.setattr(engine, "_program", _patched(engine._program, _drop_last_first_pass_comparator))
         assert brute_count_toppleable(4, 2, "characterize") == 23
+
+    @pytest.mark.parametrize("n,p", [(3, 2), (4, 2), (5, 3)])
+    def test_dropped_comparator_keeps_the_traced_tallies(self, monkeypatch, n, p):
+        monkeypatch.setattr(engine, "_program", _patched(engine._program, _drop_last_first_pass_comparator))
+        tally = harness._sweep_chunk((n, p, 1, 0, configuration_count(n)))
+        reference = _traced_facts(n, p)
+        assert _facts_of(tally, reference) == reference
+        assert harness._observed(tally, "first pass") == {-1: configuration_count(n)}
+        claims = dict(_engine_claims(n, p, tally))
+        assert claims[ARMS_CLAIM] == MATCH
+        assert claims["random schedules agree with passes"] == MISMATCH
+
+    @pytest.mark.parametrize("n,p", [(3, 2), (4, 2), (5, 3)])
+    def test_a_comparator_on_a_frozen_arm_shows(self, monkeypatch, n, p):
+        monkeypatch.setattr(engine, "_program", _patched(engine._program, _append_arm_comparator))
+        tally = harness._sweep_chunk((n, p, 1, 0, configuration_count(n)))
+        # the network flags every configuration; the traced values only those it swaps
+        assert harness._observed(tally, "arms frozen") == {False: configuration_count(n)}
+        assert 0 < _traced_facts(n, p)["arms frozen", False] < configuration_count(n)
+        assert (ARMS_CLAIM, MISMATCH) in _engine_claims(n, p, tally)
+
+    def test_an_arm_across_the_final_hole_shows(self, monkeypatch):
+        # S(1,1) split in two passes, the first claiming both registers as its
+        # left arm; no later comparator touches them, but the hole lies between
+        def across(passes):
+            [only] = passes
+            return only._replace(left_arm=(1, 2), right_arm=()), only._replace(comparators=())
+
+        monkeypatch.setattr(engine, "_program", _patched(engine._program, across))
+        tally = harness._sweep_chunk((1, 1, 1, 0, 1))
+        assert harness._observed(tally, "arms frozen") == {False: 1}
+        assert harness._observed(_traced_facts(1, 1), "arms frozen") == {False: 1}
 
 
 class TestResultantTable:
