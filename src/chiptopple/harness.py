@@ -12,16 +12,17 @@ and the verify sweep walk chip words: they topple them through
 verification report replays every counting identity of the library by
 independent brute force and flags the few places where the published
 tables disagree with their own formulas as documented discrepancies
-instead of failures. One sweep per run topples each configuration of
-S(n,p) once and serves every fact about S(n,p): the resultants, the
-random schedules, the lift and mirror round trips and, through the two
-(permutation, r) readings of each configuration, the (r,p) counts, the
-marked fibers and the windowed readings; the pass structure, one network
-for all of S(n,p), it reads once. The sweep and the all-r counts share
-one pool per run. Only the fixed-size claims (the S_6 marked tables and
-fiber-class array, the S(3,2) listing and the phi loop) topple on their
-own. The permutation sets are built once per run too: one families scan
-per size, and each decomposable set by construction.
+instead of failures. What all of S(n,p) shares, the pass structure and the
+empty site of its one network, it reads once per (n,p) from that network.
+One sweep per run topples each configuration once and serves what varies
+by configuration: the resultants, the random schedules, the lift and
+mirror round trips and, through the two (permutation, r) readings of each
+configuration, the (r,p) counts, the every-r verdicts, the marked fibers
+and the windowed readings. The sweep and the all-r counts share one pool
+per run. Only the fixed-size claims (the S_6 marked tables and fiber-class
+array, the S(3,2) listing and the phi loop) topple on their own. The
+permutation sets are built once per run too: one families scan per size,
+and each decomposable set by construction.
 """
 from __future__ import annotations
 
@@ -56,11 +57,12 @@ from .families import CallanWord, CapExceeded
 
 PERM_CAP = 8  # enumerate at most 8! permutations by default
 CONFIG_CAP = 7  # enumerate configurations up to n = 7 by default
-ENGINE_N = 6  # verify checks the pass structure and the (r,p) counts on S(n,p) up to n = 6
+ENGINE_N = 6  # verify checks the pass structure, the (r,p) counts and the every-r verdicts up to n = 6
 READING_N = 5  # and the marked fibers and windowed readings up to n = 5
 ROUND_TRIP_SIZE = 7  # and the Callan/Vesztergombi round trips on sizes 2..7
 
 Sweep = dict[tuple[int, int], Counter]  # (n, p) -> tally of S(n,p), see _sweep_chunk
+Facts = dict[tuple[int, int], dict[str, int]]  # (n, p) -> _pass_facts(n, p)
 Members = dict[tuple[str, int, int], list[Perm]]  # family key -> members, see _scan_families
 
 
@@ -130,12 +132,12 @@ def _resultant_perms(n: int, p: int, lo: int, hi: int | None) -> Iterator[Perm]:
     return map(itemgetter(0), resultants(n, p, _chip_words(n, p, lo, hi)))
 
 
-def _pass_facts(n: int, p: int) -> tuple[tuple[str, object], ...]:
+def _pass_facts(n: int, p: int) -> dict[str, int]:
     """
-    The pass facts of S(n,p), read once from the network that all of S(n,p)
-    shares: the pass count, the first pass's topplings beyond n, and whether
-    the arms are frozen: each pass's arm registers are a prefix and a suffix
-    of the final read order (hole included) that no later pass touches.
+    The facts of the network that all of S(n,p) shares, by name: the pass
+    count, the first pass's topplings beyond n, whether the arms are frozen
+    (each pass's arm registers are a prefix and a suffix of the final read
+    order, hole included, that no later pass touches) and the empty site.
     """
     passes = engine._program(n, p).passes
     order = passes[-1].left_arm + (0,) + passes[-1].right_arm  # register 0: the hole
@@ -146,39 +148,37 @@ def _pass_facts(n: int, p: int) -> tuple[tuple[str, object], ...]:
         frozen &= left == order[: len(left)] and right == order[len(order) - len(right) :]
         frozen &= touched.isdisjoint(left + right)
         touched.update(chain.from_iterable(step.comparators))
-    return ("passes", len(passes)), ("first pass", len(passes[0].comparators) - n), ("arms frozen", frozen)
+    first = len(passes[0].comparators) - n
+    return {"passes": len(passes), "first pass": first, "arms frozen": frozen, "empty site": order.index(0)}
 
 
 def _sweep_chunk(args: tuple[int, int, int, int, int]) -> Counter:
     """
     Topple the chip words of S(n,p) with ranks in [lo, hi) once each and
-    tally what the verify report reads: tally[fact, value] counts the
-    configurations on which fact took value. The facts are the resultant,
-    the empty site and the window verdict; for n <= ENGINE_N also the
-    ``_pass_facts`` (counted for every word of the chunk) and whether the
+    tally the facts that vary by configuration: tally[fact, value] counts
+    the configurations on which fact took value. The facts are the
+    resultant and the window verdict; for n <= ENGINE_N also whether the
     mirrored word, toppled in S(n, n+1-p), gives the mirrored resultant.
-    A configuration is also read twice, as ``lift(perm, r, p)`` with r
-    either chip of the pair, so S(n,p) holds every (perm, r) once: for
-    n <= ENGINE_N, "rp toppleable" r counts the readings toppling to the
-    identity, T(n,p,r); for n <= READING_N, (("marked", r), resultant)
-    counts the fiber that ``resultant_counts_marked(n + 1, p, r)`` gives,
-    and "reading window" is whether the window verdict agrees with the
+    A configuration is also read twice, as the two ``unlift`` readings
+    (q, r), r either chip of the pair, so S(n,p) holds every (q, r) once:
+    for n <= ENGINE_N, "rp toppleable" r counts the readings toppling to
+    the identity, T(n,p,r), and "toppleable readings" q counts the r for
+    which q does; for n <= READING_N, (("marked", r), resultant) counts
+    the fiber that ``resultant_counts_marked(n + 1, p, r)`` gives, and
+    "reading window" is whether the window verdict agrees with the
     Vesztergombi window of ``map_w(config, r)``, read after site p. For
     n <= READING_N it also tallies "schedules agree" (the random schedules
     of seeds 0..seeds-1 all reach the network's pair), "lift inverts
-    unlift" (for both ``unlift`` readings) and "mirror involution"
+    unlift" (for both readings) and "mirror involution"
     (``reverse_complement`` goes to S(n, n+1-p) and back). Only these
     library calls get a ``Configuration``, unvalidated, for n <= ENGINE_N.
     """
     n, p, seeds, lo, hi = args
     tally: Counter = Counter()
-    if n <= ENGINE_N and hi > lo:
-        tally.update(dict.fromkeys(_pass_facts(n, p), hi - lo))
     words, fed = tee(_chip_words(n, p, lo, hi))
     for chips, (perm, empty_site) in zip(words, resultants(n, p, fed)):
         window = characterize.is_p_toppleable_word(chips, n, p)
         tally["resultant", perm] += 1
-        tally["empty site", empty_site] += 1
         tally["window", window] += 1
         if n > ENGINE_N:
             continue
@@ -186,9 +186,11 @@ def _sweep_chunk(args: tuple[int, int, int, int, int]) -> Counter:
         mirror = reverse_complement(config)
         [(mirrored, _)] = resultants(n, n + 1 - p, [mirror.chips])
         tally["mirror commutes", mirrored == reverse_complement_perm(perm)] += 1
-        for r in config.pair:
+        readings = unlift(config) if window or n <= READING_N else ()
+        for q, r in readings:
             if window:
                 tally["rp toppleable", r] += 1
+                tally["toppleable readings", q] += 1
             if n <= READING_N:
                 tally[("marked", r), perm] += 1
                 star = map_w(config, r)
@@ -197,7 +199,6 @@ def _sweep_chunk(args: tuple[int, int, int, int, int]) -> Counter:
         if n > READING_N:
             continue
         scheduled = all(stabilize_random(config, seed)[0] == (perm, empty_site) for seed in range(seeds))
-        readings = unlift(config)
         lifted = len(readings) == 2 and all(lift(q, r, p) == config for q, r in readings)
         tally["schedules agree", scheduled] += 1
         tally["lift inverts unlift", lifted] += 1
@@ -653,14 +654,16 @@ S32_FIBERS = {
 }
 
 
-def _verify_resultants(report: VerifyReport, n_max: int, sweep: Sweep, decomposable: Callable[..., list[Perm]]) -> None:
+def _verify_resultants(
+    report: VerifyReport, n_max: int, sweep: Sweep, facts: Facts, decomposable: Callable[..., list[Perm]]
+) -> None:
     # the resultants of S(n,p) for p < n, by n
     fibers = {
         n: [(p, _observed(sweep[n, p], "resultant")) for p in range(1, n)]
         for n in range(2, min(n_max, CONFIG_CAP) + 1)
     }
     for n, split in fibers.items():
-        empty = all(sweep[n, p]["empty site", n - p + 1] == configuration_count(n) for p, _ in split)
+        empty = all(facts[n, p]["empty site"] == n - p + 1 for p, _ in split)
         support = all(set(fiber) == set(decomposable(n + 1, p)) for p, fiber in split)
         classes = all(
             size == polybernoulli.count_resultant_class(*record_class(perm, p))
@@ -718,25 +721,18 @@ def _verify_marked(report: VerifyReport, n_max: int, sweep: Sweep, decomposable:
         report.add("marked fibers sum to (n-1)!", f"n={n}", True, summed)
 
 
-def _verify_engine(report: VerifyReport, n_max: int, seeds: int, sweep: Sweep) -> None:
+def _verify_engine(report: VerifyReport, n_max: int, seeds: int, sweep: Sweep, facts: Facts) -> None:
     read = f"{_clipped(n_max, READING_N)[1]}, {seeds} seeds"
     report.add("random schedules agree with passes", read, True, _always(sweep, "schedules agree"))
-    passes_ok = all(
-        tally["passes", min(p, n - p + 1)] == configuration_count(n)
-        for (n, p), tally in sweep.items()
-        if n <= ENGINE_N
-    )
-    first_pass_counts = set().union(*(_observed(tally, "first pass") for tally in sweep.values()))
+    network = {(n, p): fact for (n, p), fact in facts.items() if n <= ENGINE_N}
+    passes_ok = all(fact["passes"] == min(p, n - p + 1) for (n, p), fact in network.items())
     swept = _clipped(n_max, ENGINE_N)[1]
     report.add("reverse-complement commutes with the resultant", swept, True, _always(sweep, "mirror commutes"))
     report.add("pass count is min(p, n-p+1)", swept, True, passes_ok)
-    report.add("arms are frozen prefixes/suffixes of the final state", swept, True, _always(sweep, "arms frozen"))
-    report.note(
-        "first pass comprises n topplings (text says n+1)",
-        "offset of measured count from n",
-        {0},
-        first_pass_counts,
-    )
+    frozen = all(fact["arms frozen"] for fact in network.values())
+    report.add("arms are frozen prefixes/suffixes of the final state", swept, True, frozen)
+    first = {fact["first pass"] for fact in network.values()}
+    report.note("first pass comprises n topplings (text says n+1)", "offset of measured count from n", {0}, first)
 
 
 def _verify_correspondences(
@@ -751,10 +747,9 @@ def _verify_correspondences(
     )
     report.add("toppleable permutations map onto windowed readings", read, True, _always(sweep, "reading window"))
     report.add("toppleable count equals Callan words with fixed first letter", read, True, callan)
-    sizes, label = _clipped(n_max, 6)
+    sizes, label = _clipped(n_max, ENGINE_N)
     window = all(
-        characterize.is_all_r_toppleable(perm, p)
-        == all(characterize.is_rp_toppleable(perm, r, p) for r in range(1, n + 2))
+        characterize.is_all_r_toppleable(perm, p) == (sweep[n, p]["toppleable readings", perm] == n + 1)
         for n in sizes
         for p in range(1, n + 1)
         for perm in iter_permutations(n)
@@ -931,6 +926,7 @@ def verify_identities(n_max: int = 7, jobs: int = 1, seeds: int = 5) -> VerifyRe
     )
     sweep: Sweep = dict(zip(swept, sums))
     all_r = dict(zip(counted, sums[len(swept) :]))
+    facts: Facts = {key: _pass_facts(*key) for key in swept}
     # one families scan per size, read by the families, correspondences and
     # bijections sections, and each decomposable set built once, for the
     # resultants and marked sections
@@ -941,9 +937,9 @@ def verify_identities(n_max: int = 7, jobs: int = 1, seeds: int = 5) -> VerifyRe
     _verify_toppleable(report, sweep)
     _verify_rp_toppleable(report, n_max, sweep)
     _verify_all_r(report, all_r)
-    _verify_resultants(report, n_max, sweep, decomposable)
+    _verify_resultants(report, n_max, sweep, facts, decomposable)
     _verify_marked(report, n_max, sweep, decomposable)
-    _verify_engine(report, n_max, seeds, sweep)
+    _verify_engine(report, n_max, seeds, sweep, facts)
     _verify_correspondences(report, n_max, sweep, family_counts)
     _verify_families(report, family_counts)
     _verify_bijections(report, members)

@@ -140,6 +140,17 @@ _C_METHODS: dict[str, Callable[[int, int], int]] = {
 }
 
 
+def _evaluate(methods: dict[str, Callable[[int, int], int]], n: int, k: int, method: str) -> int:
+    """The value at (n, k) by the named one of ``methods``, after the index and method checks."""
+    if n < 0 or k < 0:
+        raise ValueError("negative index")
+    try:
+        fn = methods[method]
+    except KeyError:
+        raise ValueError(f"unknown method {method!r}") from None
+    return fn(n, k)
+
+
 def poly_bernoulli_B(n: int, k: int, method: str = "closed") -> int:
     """
     Type B poly-Bernoulli number B(n,k).
@@ -154,13 +165,7 @@ def poly_bernoulli_B(n: int, k: int, method: str = "closed") -> int:
     >>> poly_bernoulli_B(5, 5)
     329462
     """
-    if n < 0 or k < 0:
-        raise ValueError("negative index")
-    try:
-        fn = _B_METHODS[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}") from None
-    return fn(n, k)
+    return _evaluate(_B_METHODS, n, k, method)
 
 
 def poly_bernoulli_C(n: int, k: int, method: str = "closed") -> int:
@@ -177,13 +182,7 @@ def poly_bernoulli_C(n: int, k: int, method: str = "closed") -> int:
     >>> poly_bernoulli_C(5, 5)
     164731
     """
-    if n < 0 or k < 0:
-        raise ValueError("negative index")
-    try:
-        fn = _C_METHODS[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}") from None
-    return fn(n, k)
+    return _evaluate(_C_METHODS, n, k, method)
 
 
 def forward_difference(f: Callable[[int], int], order: int, at: int) -> int:

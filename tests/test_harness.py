@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from chiptopple import bijections, engine, families, harness, polybernoulli
+from chiptopple import bijections, characterize, engine, families, harness, polybernoulli
 from chiptopple.core import Configuration, lift, parse_configuration, reverse_complement
 from chiptopple.families import CapExceeded
 from chiptopple.harness import (
@@ -218,14 +218,20 @@ class TestBruteCounts:
                 assert marked == {}
         assert tally["reading window", False] == 0
         assert tally["reading window", True] == (2 * configuration_count(n) if n <= harness.READING_N else 0)
+        # every permutation q is read once with each r: its toppleable readings are the r that topple it
+        for q in iter_permutations(n):
+            expected = sum(characterize.is_rp_toppleable(q, r, p) for r in range(1, n + 2))
+            assert tally["toppleable readings", q] == (expected if n <= harness.ENGINE_N else 0)
 
     @pytest.mark.parametrize("n,p", [(n, p) for n in range(1, 7) for p in range(1, n + 1)])
     def test_pass_facts_match_the_traced_loop(self, n, p):
         # the network is read once per (n,p); the reference traces every configuration
         tally = harness._sweep_chunk((n, p, 1, 0, configuration_count(n)))
         reference = _traced_facts(n, p)
-        assert _facts_of(tally, reference) == reference
+        assert _network_facts(n, p, tally) == reference
         assert reference["arms frozen", True] == configuration_count(n)
+        claims = _engine_claims(n, p, tally)
+        assert {status for _, status in claims} == {MATCH, DOCUMENTED}
 
     def test_T_examples(self):
         assert brute_T(5, 2, 3) == 22
@@ -265,16 +271,21 @@ def _traced_facts(n, p):
     return tally
 
 
-def _facts_of(tally, reference):
-    """The part of a sweep tally that tallies the facts named in reference."""
-    names = {name for name, _ in reference}
-    return Counter({key: count for key, count in tally.items() if key[0] in names})
+def _network_facts(n, p, tally):
+    """
+    The traced tally as verify reads it: the resultants from the sweep
+    tally, and each of ``_pass_facts(n, p)``, read once from the network,
+    counted for every configuration of S(n,p).
+    """
+    facts = Counter({key: count for key, count in tally.items() if key[0] == "resultant"})
+    facts.update({fact: configuration_count(n) for fact in harness._pass_facts(n, p).items()})
+    return facts
 
 
 def _engine_claims(n, p, tally):
-    """``_verify_engine``'s (claim, status) pairs, fed the sweep tally of S(n,p) alone."""
+    """``_verify_engine``'s (claim, status) pairs, fed the sweep tally and the pass facts of S(n,p) alone."""
     report = harness.VerifyReport(n_max=n)
-    harness._verify_engine(report, n, 1, {(n, p): tally})
+    harness._verify_engine(report, n, 1, {(n, p): tally}, {(n, p): harness._pass_facts(n, p)})
     return [(item.claim, item.status) for item in report.items]
 
 
@@ -325,8 +336,8 @@ class TestBrokenNetwork:
         monkeypatch.setattr(engine, "_program", _patched(engine._program, _drop_last_first_pass_comparator))
         tally = harness._sweep_chunk((n, p, 1, 0, configuration_count(n)))
         reference = _traced_facts(n, p)
-        assert _facts_of(tally, reference) == reference
-        assert harness._observed(tally, "first pass") == {-1: configuration_count(n)}
+        assert _network_facts(n, p, tally) == reference
+        assert harness._pass_facts(n, p)["first pass"] == -1
         claims = dict(_engine_claims(n, p, tally))
         assert claims[ARMS_CLAIM] == MATCH
         assert claims["random schedules agree with passes"] == MISMATCH
@@ -335,8 +346,8 @@ class TestBrokenNetwork:
     def test_a_comparator_on_a_frozen_arm_shows(self, monkeypatch, n, p):
         monkeypatch.setattr(engine, "_program", _patched(engine._program, _append_arm_comparator))
         tally = harness._sweep_chunk((n, p, 1, 0, configuration_count(n)))
-        # the network flags every configuration; the traced values only those it swaps
-        assert harness._observed(tally, "arms frozen") == {False: configuration_count(n)}
+        # the network flags all of S(n,p); the traced values only the configurations it swaps
+        assert harness._pass_facts(n, p)["arms frozen"] is False
         assert 0 < _traced_facts(n, p)["arms frozen", False] < configuration_count(n)
         assert (ARMS_CLAIM, MISMATCH) in _engine_claims(n, p, tally)
 
@@ -348,9 +359,10 @@ class TestBrokenNetwork:
             return only._replace(left_arm=(1, 2), right_arm=()), only._replace(comparators=())
 
         monkeypatch.setattr(engine, "_program", _patched(engine._program, across))
-        tally = harness._sweep_chunk((1, 1, 1, 0, 1))
-        assert harness._observed(tally, "arms frozen") == {False: 1}
+        assert harness._pass_facts(1, 1)["arms frozen"] is False
         assert harness._observed(_traced_facts(1, 1), "arms frozen") == {False: 1}
+        tally = harness._sweep_chunk((1, 1, 1, 0, 1))
+        assert (ARMS_CLAIM, MISMATCH) in _engine_claims(1, 1, tally)
 
 
 class TestResultantTable:
@@ -481,6 +493,21 @@ class TestVerifyReport:
         monkeypatch.setattr(harness, name, broken_lift if name == "lift" else broken_on_config)
         report = verify_identities(n_max=3, seeds=2)
         assert [item.claim for item in report.items if item.status == MISMATCH] == claims
+
+    def test_a_flipped_every_r_verdict_fails(self, monkeypatch):
+        # flip the inverse-window verdict on one permutation of S_3 at p = 2:
+        # the all-r count and its check against the sweep's readings both fail
+        real = characterize.is_all_r_toppleable
+
+        def flipped(perm, p):
+            return real(perm, p) != (perm == (1, 3, 2) and p == 2)
+
+        monkeypatch.setattr(characterize, "is_all_r_toppleable", flipped)
+        report = verify_identities(n_max=3, seeds=1)
+        assert [item.claim for item in report.items if item.status == MISMATCH] == [
+            "all-r toppleable count is C(p,n-p)",
+            "inverse window equals toppleability for every r",
+        ]
 
     @pytest.mark.parametrize(
         "module,name,corrupt,claim",
