@@ -26,12 +26,7 @@ from .core import (
     split_at,
     unlift,
 )
-from .engine import (
-    PassTrace,
-    resultant,
-    stabilize_passes,
-    stabilize_random,
-)
+from .engine import resultant, stabilize_passes, stabilize_random
 from .characterize import is_all_r_toppleable, is_p_toppleable, is_rp_toppleable
 from .polybernoulli import (
     binomial_transform,

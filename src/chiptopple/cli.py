@@ -74,14 +74,17 @@ def topple(literal: str, use_random: bool, seed: int | None, trace: bool) -> Non
         if trace:
             raise click.UsageError("--trace needs the pass schedule; drop --random and --seed")
         final, _ = engine.stabilize_random(config, 0 if seed is None else seed)
-    elif trace:
-        final, pass_trace = engine.stabilize_passes(config)
     else:
         final = engine.resultant(config)
     perm, empty_site = final
     click.echo(f"resultant: {format_permutation(perm)}, empty-site: {empty_site}")
     if trace:
-        click.echo(pass_trace.to_json())
+        # one pass at a time: a snapshot's fields, in order, are its JSON keys; tuples dump as lists
+        snapshots = map(json.dumps, map(vars, engine.stabilize_passes(config)))
+        click.echo(f"[{next(snapshots)}", nl=False)
+        for snapshot in snapshots:
+            click.echo(f", {snapshot}", nl=False)
+        click.echo("]")
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ random schedule (site uniform over eligible sites) and the deterministic
 pass schedule, which topples the doubled site once and then every other
 eligible site until only the doubled site remains. Both reach the same
 final state after the same number of topplings; the random one exists so
-that tests can exercise schedule independence. All three stabilizers give
-the final state in one form, the ``resultant`` pair: the permutation of
-1..n+1 read left to right skipping the hole, and the hole's site.
+that tests can exercise schedule independence. The final state has one
+form, the ``resultant`` pair: the permutation of 1..n+1 read left to right
+skipping the hole, and the hole's site; the last pass snapshot's arms read it.
 
 Invariant: under any schedule, no site holds more than two chips, and an
 empty site lies between any two doubled sites. Proof sketch: the start has
@@ -30,11 +30,12 @@ steer) finds it; that run raises any ``ConfinementError`` and the one-hole
 ``ValueError``. Up to n = 8, the largest n that the harness enumerates,
 the passes are kept with a ``run`` function generated from their
 comparators, as ``dataclasses`` generates ``__init__``. Above that nothing
-is kept: ``resultant`` applies each pass as it comes, in O(n) memory, and
-``stabilize_passes`` builds each snapshot from its pass. ``stabilize_random``
-stays a labelled simulation, the independent check of the network; by the
-invariant it runs on two slot lists, the first and the second chip of each
-site.
+is kept: ``resultant`` applies each pass as it comes, in O(n) memory.
+``stabilize_passes`` keeps nothing for any n: it yields each snapshot as
+its pass comes, so a trace holds one pass at a time and raises its errors
+on iteration. ``stabilize_random`` stays a labelled simulation, the
+independent check of the network; by the invariant it runs on two slot
+lists, the first and the second chip of each site.
 
 The random schedule draws only at real choice points: when two or more
 sites are eligible. A draw from range(m) is the remainder of a pool
@@ -49,7 +50,6 @@ replays its schedule through ``topple --random --seed``.
 from __future__ import annotations
 
 import dataclasses
-import json
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -62,19 +62,15 @@ class ConfinementError(RuntimeError):
 
 @dataclasses.dataclass(frozen=True)
 class PassSnapshot:
+    """
+    The chips after one pass: the left arm, each active site (a pair
+    ascending) and the right arm, left to right, and the pass's topplings.
+    """
+
     left_arm: tuple[int, ...]
     active: tuple[tuple[int, ...], ...]
     right_arm: tuple[int, ...]
     topples: int
-
-
-@dataclasses.dataclass(frozen=True)
-class PassTrace:
-    passes: tuple[PassSnapshot, ...]
-
-    def to_json(self) -> str:
-        # a snapshot's fields, in order, are its JSON keys; tuples dump as lists
-        return json.dumps([vars(s) for s in self.passes])
 
 
 def _read_resultant(low: list[int]) -> tuple[Perm, int]:
@@ -276,29 +272,25 @@ def _streamed(n: int, p: int, chips: tuple[int, ...]) -> tuple[Perm, int]:
     return tuple([w[r] for r in step.left_arm + step.right_arm]), len(step.left_arm)
 
 
-def stabilize_passes(config: Configuration) -> tuple[tuple[Perm, int], PassTrace]:
+def stabilize_passes(config: Configuration) -> Iterator[PassSnapshot]:
     """
     Stabilize in passes: topple the doubled site once, then every eligible
-    site other than it until none remains; repeat until stable. Returns the
-    ``resultant`` pair and a snapshot (left arm, active part, right arm)
-    after each pass.
+    site other than it until none remains; repeat until stable. Yields a
+    snapshot after each pass, as the pass is found: the last one's arms,
+    left then right, are the resultant permutation, and its left arm's
+    length is the empty site. A generator, it raises any
+    ``ConfinementError`` and the one-hole ``ValueError`` on iteration.
     """
-    n, p = config.n, config.p
     w = [0, *config.chips]
     read = w.__getitem__
-    snapshots = []
-    for step in _program(n, p).passes if n <= _MEMO_N else _schedule(n, p):
+    for step in _schedule(config.n, config.p):
         _run(w, step.comparators)
-        snapshots.append(
-            PassSnapshot(
-                left_arm=tuple(map(read, step.left_arm)),
-                active=tuple([tuple(sorted(map(read, site))) for site in step.active]),
-                right_arm=tuple(map(read, step.right_arm)),
-                topples=len(step.comparators),
-            )
+        yield PassSnapshot(
+            left_arm=tuple(map(read, step.left_arm)),
+            active=tuple([tuple(sorted(map(read, site))) for site in step.active]),
+            right_arm=tuple(map(read, step.right_arm)),
+            topples=len(step.comparators),
         )
-    last = snapshots[-1]
-    return (last.left_arm + last.right_arm, len(last.left_arm)), PassTrace(tuple(snapshots))
 
 
 def resultant(config: Configuration) -> tuple[Perm, int]:

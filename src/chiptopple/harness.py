@@ -176,6 +176,7 @@ def _sweep_chunk(args: tuple[int, int, int, int, int]) -> Counter:
     n, p, seeds, lo, hi = args
     tally: Counter = Counter()
     words, fed = tee(_chip_words(n, p, lo, hi))
+    mirror_run = engine._program(n, n + 1 - p).run if n <= ENGINE_N else None
     for chips, (perm, empty_site) in zip(words, resultants(n, p, fed)):
         window = characterize.is_p_toppleable_word(chips, n, p)
         tally["resultant", perm] += 1
@@ -184,7 +185,7 @@ def _sweep_chunk(args: tuple[int, int, int, int, int]) -> Counter:
             continue
         config = Configuration._trusted(n, p, chips)
         mirror = reverse_complement(config)
-        [(mirrored, _)] = resultants(n, n + 1 - p, [mirror.chips])
+        mirrored, _ = mirror_run(mirror.chips)
         tally["mirror commutes", mirrored == reverse_complement_perm(perm)] += 1
         readings = unlift(config) if window or n <= READING_N else ()
         for q, r in readings:

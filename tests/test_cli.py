@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -10,7 +15,7 @@ from jsonschema import validate
 
 from chiptopple import engine
 from chiptopple.cli import cli
-from chiptopple.core import format_configuration, format_permutation
+from chiptopple.core import format_configuration, format_permutation, make_configuration
 from conftest import small_configurations
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -19,6 +24,13 @@ SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+def _seeded_literal(n, p):
+    """The literal of S(n,p) whose chips, in site order, are 1..n+1 shuffled by random.Random(n)."""
+    chips = list(range(1, n + 2))
+    random.Random(n).shuffle(chips)
+    return format_configuration(make_configuration([*chips[: p - 1], chips[p - 1 : p + 1], *chips[p + 1 :]]))
 
 
 def run(runner, *args):
@@ -68,6 +80,41 @@ class TestTopple:
             trace = json.loads(lines[1])
             validate(trace, schema)
             assert len(trace) == passes
+
+    @pytest.mark.parametrize(
+        "n,p,digest",
+        [
+            (9, 5, "efeed3afec71480efdc4047a7bc4dcd747e5d18d9533a31b2ed620d69d4d7469"),
+            (12, 12, "dc98e0b4847d73dfe7377c6a2391ed7f4f7a41dd7b6d17c344d878d33e1be110"),
+            (40, 17, "47ec808fc7a8806c4c22678c69300683bcfd1fc266194f78b4160975da273957"),
+            (800, 400, "e7920d36e8c14ea367c0b8823df77fef6aee7615fff647e0703ce6ba2504a448"),
+        ],
+    )
+    def test_trace_bytes_are_pinned(self, runner, n, p, digest):
+        # pins the separators, the key order and the trailing newline
+        result = run(runner, "topple", "--config", _seeded_literal(n, p), "--trace")
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+    def test_trace_memory_holds_one_pass(self):
+        # the trace at n = 2 500 is 20.6 MB of JSON; written a pass at a time it peaks near plain topple's 19 MB.
+        # On Linux ru_maxrss also keeps the peak of the image the child was exec'd from (this
+        # test runner, by vfork), so the child reports its own image's peak, VmHWM, where it can
+        child = (
+            "import os, resource, sys\n"
+            "from chiptopple.cli import cli\n"
+            "cli.main(['topple', '--config', sys.argv[1], '--trace'], standalone_mode=False)\n"
+            "status = '/proc/self/status'\n"
+            "kb = [line.split()[1] for line in open(status) if line.startswith('VmHWM:')] if os.path.exists(status) else []\n"
+            "print(*kb or [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss], file=sys.stderr)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(engine.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", child, _seeded_literal(2500, 1250)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, check=True, timeout=120,
+        )
+        peak = int(done.stderr.split()[-1]) / (1 << 20 if sys.platform == "darwin" else 1 << 10)  # MB
+        assert peak < 40
 
     def test_bad_literal_is_an_error(self, runner):
         result = run(runner, "topple", "--config", "1,2,3")

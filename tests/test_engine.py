@@ -47,35 +47,34 @@ class TestStabilize:
         assert engine._read_resultant([1, 2, 0, 3]) == ((1, 2, 3), 2)
 
     def test_pass_counts(self):
-        _, trace = stabilize_passes(parse_configuration("1,(2,3),4"))
-        assert len(trace.passes) == 2
-        _, trace = stabilize_passes(make_configuration([(1, 2)]))
-        assert len(trace.passes) == 1
+        assert len(list(stabilize_passes(parse_configuration("1,(2,3),4")))) == 2
+        assert len(list(stabilize_passes(make_configuration([(1, 2)])))) == 1
 
     @pytest.mark.parametrize("n,p", [(n, p) for n in range(1, 6) for p in range(1, n + 1)])
     def test_pass_structure(self, n, p):
         for config in oracle_configurations(n, p):
-            (perm, empty_site), trace = stabilize_passes(config)
-            assert len(trace.passes) == min(p, n - p + 1)
+            (perm, empty_site), trace = _traced(config)
+            assert len(trace) == min(p, n - p + 1)
             assert empty_site == n - p + 1
             occupancy = list(perm[:empty_site]) + [0] + list(perm[empty_site:])
             grown = 0
-            for snap in trace.passes:
+            for snap in trace:
                 assert len(snap.left_arm) > grown
                 grown = len(snap.left_arm)
                 assert list(snap.left_arm) == occupancy[: len(snap.left_arm)]
                 assert list(snap.right_arm) == occupancy[len(occupancy) - len(snap.right_arm) :]
             # the first pass topples every site holding two chips exactly once
-            assert trace.passes[0].topples == n
+            assert trace[0].topples == n
+            assert (perm, empty_site) == resultant(config)
 
     def test_first_pass_moves_every_chip_once_per_site(self):
-        _, trace = stabilize_passes(parse_configuration("7,3,1,5,(2,4),6,8"))
-        assert trace.passes[0].topples == 7
-        assert len(trace.passes) == 3
+        trace = list(stabilize_passes(parse_configuration("7,3,1,5,(2,4),6,8")))
+        assert trace[0].topples == 7
+        assert len(trace) == 3
 
     def test_trace_json_shape(self):
-        _, trace = stabilize_passes(parse_configuration("4,(3,2),1"))
-        payload = json.loads(trace.to_json())
+        # the JSON form of a snapshot that ``topple --trace`` writes
+        payload = [json.loads(json.dumps(vars(s))) for s in stabilize_passes(parse_configuration("4,(3,2),1"))]
         assert len(payload) == 2
         for snap in payload:
             assert set(snap) == {"left_arm", "active", "right_arm", "topples"}
@@ -85,7 +84,7 @@ class TestScheduleIndependence:
     @given(small_configurations(), st.integers(0, 2**32 - 1))
     @settings(max_examples=120, deadline=None)
     def test_random_matches_passes(self, config, seed):
-        reference, _ = stabilize_passes(config)
+        reference, _ = _traced(config)
         final, _ = stabilize_random(config, seed)
         assert final == reference
 
@@ -93,8 +92,8 @@ class TestScheduleIndependence:
     def test_count_and_resultant_do_not_depend_on_schedule(self, n):
         for p in range(1, n + 1):
             for config in oracle_configurations(n, p):
-                final, trace = stabilize_passes(config)
-                count = sum(snap.topples for snap in trace.passes)
+                final, trace = _traced(config)
+                count = sum(snap.topples for snap in trace)
                 assert [stabilize_random(config, seed)[1] for seed in range(3)] == [count] * 3
                 assert resultant(config) == final
 
@@ -108,9 +107,16 @@ class TestScheduleIndependence:
     @given(small_configurations())
     @settings(max_examples=60, deadline=None)
     def test_exactly_one_empty_site(self, config):
-        (perm, empty_site), _ = stabilize_passes(config)
+        (perm, empty_site), _ = _traced(config)
         assert 0 <= empty_site <= config.n + 1
         assert sorted(perm) == list(range(1, config.n + 2))
+
+
+def _traced(config):
+    """The snapshots of ``stabilize_passes`` and the resultant pair that the last one's arms give."""
+    trace = list(stabilize_passes(config))
+    last = trace[-1]
+    return (last.left_arm + last.right_arm, len(last.left_arm)), trace
 
 
 def _shuffled_configuration(n, p, rng):
@@ -128,11 +134,11 @@ class TestCompiledSchedule:
         for p in range(1, n + 1):
             for _ in range(3):
                 config = _shuffled_configuration(n, p, rng)
-                (_, empty_site), trace = stabilize_passes(config)
+                (_, empty_site), trace = _traced(config)
                 count = p * (n + 1 - p)
-                assert sum(snap.topples for snap in trace.passes) == count
+                assert sum(snap.topples for snap in trace) == count
                 assert [stabilize_random(config, seed)[1] for seed in range(3)] == [count] * 3
-                assert len(trace.passes) == min(p, n - p + 1)
+                assert len(trace) == min(p, n - p + 1)
                 assert empty_site == n - p + 1
 
     def test_programs_are_kept_up_to_n_8(self):
@@ -141,7 +147,7 @@ class TestCompiledSchedule:
             for p in range(1, n + 1):
                 config = _shuffled_configuration(n, p, rng)
                 resultant(config)
-                stabilize_passes(config)
+                list(stabilize_passes(config))
                 list(engine.resultants(n, p, [config.chips]))
         assert all(n <= 8 for n, _ in engine._PROGRAMS)
         for n in range(1, 9):
@@ -156,7 +162,7 @@ class TestCompiledSchedule:
                 continue
             config = _shuffled_configuration(n, p, random.Random(p))
             final = resultant(config)
-            assert stabilize_passes(config)[0] == final
+            assert _traced(config)[0] == final
             assert list(engine.resultants(n, p, [config.chips])) == [final]
             assert [stabilize_random(config, seed)[0] for seed in range(3)] == [final] * 3
             assert (n, p) not in engine._PROGRAMS
@@ -210,10 +216,42 @@ class TestCompiledSchedule:
     def test_only_kept_programs_are_generated(self, p):
         config = _shuffled_configuration(9, p, random.Random(p))
         resultant(config)
-        stabilize_passes(config)
+        list(stabilize_passes(config))
         list(engine.resultants(9, p, [config.chips]))
         assert (9, p) not in engine._PROGRAMS
         assert not isinstance(engine._program(8, p).run, functools.partial)
+
+    @pytest.mark.parametrize("n,p", [(7, 4), (8, 1), (40, 17)])
+    def test_trace_is_lazy_and_keeps_no_program(self, monkeypatch, n, p):
+        yielded = []
+        schedule = engine._schedule
+
+        def counted(n, p):
+            for step in schedule(n, p):
+                yielded.append(step)
+                yield step
+
+        monkeypatch.setattr(engine, "_schedule", counted)
+        monkeypatch.setattr(engine, "_PROGRAMS", {})
+        snapshots = stabilize_passes(_shuffled_configuration(n, p, random.Random(n)))
+        assert yielded == []
+        first = next(snapshots)
+        assert len(yielded) == 1
+        assert first.topples == n
+        rest = list(snapshots)
+        assert len(yielded) == 1 + len(rest) == min(p, n - p + 1)
+        assert engine._PROGRAMS == {}
+
+    def test_trace_raises_on_iteration(self, monkeypatch):
+        def two_holes(low):
+            raise ValueError("final state must have exactly one empty site")
+
+        monkeypatch.setattr(engine, "_read_resultant", two_holes)
+        snapshots = stabilize_passes(parse_configuration("7,3,1,5,(2,4),6,8"))
+        assert next(snapshots).topples == 7  # the check runs before the last pass, the third
+        next(snapshots)
+        with pytest.raises(ValueError, match="exactly one empty site"):
+            next(snapshots)
 
     def test_resultants_checks_the_site(self):
         with pytest.raises(ValueError):

@@ -256,17 +256,18 @@ def _traced_facts(n, p):
     """
     tally = Counter()
     for config in enumerate_configurations(n, p):
-        (perm, empty_site), trace = engine.stabilize_passes(config)
+        trace = list(engine.stabilize_passes(config))
+        perm, empty_site = trace[-1].left_arm + trace[-1].right_arm, len(trace[-1].left_arm)
         occupancy = perm[:empty_site] + (0,) + perm[empty_site:]
         frozen = all(
             snap.left_arm == occupancy[: len(snap.left_arm)]
             and snap.right_arm == occupancy[len(occupancy) - len(snap.right_arm) :]
-            for snap in trace.passes
+            for snap in trace
         )
         tally["resultant", perm] += 1
         tally["empty site", empty_site] += 1
-        tally["passes", len(trace.passes)] += 1
-        tally["first pass", trace.passes[0].topples - n] += 1
+        tally["passes", len(trace)] += 1
+        tally["first pass", trace[0].topples - n] += 1
         tally["arms frozen", frozen] += 1
     return tally
 
@@ -289,15 +290,15 @@ def _engine_claims(n, p, tally):
     return [(item.claim, item.status) for item in report.items]
 
 
-def _patched(program_of, edit):
-    """A ``_program`` whose networks have their passes rewritten by ``edit``."""
-
-    def broken(n, p):
-        program = program_of(n, p)
-        passes = edit(program.passes)
-        return program._replace(passes=passes, run=engine._generate(passes))
-
-    return broken
+def _break(monkeypatch, edit):
+    """
+    Rewrite the passes of every network by ``edit`` where they come from,
+    ``_schedule``, so the kept programs (emptied, then rebuilt) and the
+    streamed traces both run the broken network.
+    """
+    schedule = engine._schedule
+    monkeypatch.setattr(engine, "_schedule", lambda n, p: edit(tuple(schedule(n, p))))
+    monkeypatch.setattr(engine, "_PROGRAMS", {})
 
 
 def _drop_last_first_pass_comparator(passes):
@@ -320,7 +321,7 @@ class TestBrokenNetwork:
     """The word-level loops read the network: a dropped comparator must show."""
 
     def test_simulating_oracle_and_table_change(self, monkeypatch):
-        monkeypatch.setattr(engine, "_program", _patched(engine._program, _drop_last_first_pass_comparator))
+        _break(monkeypatch, _drop_last_first_pass_comparator)
         assert brute_count_toppleable(2, 1, "simulate") == 1  # 2 with the whole network
         assert resultant_table(3, 1).counts == ((1,), (1,))  # ((1,), (2,))
         assert brute_count_toppleable(4, 2, "simulate") == 9  # 23
@@ -328,12 +329,12 @@ class TestBrokenNetwork:
             resultant_table(5, 2)  # a class with unequal fibers
 
     def test_characterizing_oracle_does_not_change(self, monkeypatch):
-        monkeypatch.setattr(engine, "_program", _patched(engine._program, _drop_last_first_pass_comparator))
+        _break(monkeypatch, _drop_last_first_pass_comparator)
         assert brute_count_toppleable(4, 2, "characterize") == 23
 
     @pytest.mark.parametrize("n,p", [(3, 2), (4, 2), (5, 3)])
     def test_dropped_comparator_keeps_the_traced_tallies(self, monkeypatch, n, p):
-        monkeypatch.setattr(engine, "_program", _patched(engine._program, _drop_last_first_pass_comparator))
+        _break(monkeypatch, _drop_last_first_pass_comparator)
         tally = harness._sweep_chunk((n, p, 1, 0, configuration_count(n)))
         reference = _traced_facts(n, p)
         assert _network_facts(n, p, tally) == reference
@@ -344,7 +345,7 @@ class TestBrokenNetwork:
 
     @pytest.mark.parametrize("n,p", [(3, 2), (4, 2), (5, 3)])
     def test_a_comparator_on_a_frozen_arm_shows(self, monkeypatch, n, p):
-        monkeypatch.setattr(engine, "_program", _patched(engine._program, _append_arm_comparator))
+        _break(monkeypatch, _append_arm_comparator)
         tally = harness._sweep_chunk((n, p, 1, 0, configuration_count(n)))
         # the network flags all of S(n,p); the traced values only the configurations it swaps
         assert harness._pass_facts(n, p)["arms frozen"] is False
@@ -358,7 +359,7 @@ class TestBrokenNetwork:
             [only] = passes
             return only._replace(left_arm=(1, 2), right_arm=()), only._replace(comparators=())
 
-        monkeypatch.setattr(engine, "_program", _patched(engine._program, across))
+        _break(monkeypatch, across)
         assert harness._pass_facts(1, 1)["arms frozen"] is False
         assert harness._observed(_traced_facts(1, 1), "arms frozen") == {False: 1}
         tally = harness._sweep_chunk((1, 1, 1, 0, 1))
