@@ -5,10 +5,11 @@ site left and b one site right. Two stabilizers are provided: a seeded
 random schedule (site uniform over eligible sites) and the deterministic
 pass schedule, which topples the doubled site once and then every other
 eligible site until only the doubled site remains. Both reach the same
-final state after the same number of topplings; the random one exists so
-that tests can exercise schedule independence. The final state has one
-form, the ``resultant`` pair: the permutation of 1..n+1 read left to right
-skipping the hole, and the hole's site; the last pass snapshot's arms read it.
+final state after the same number of topplings; the random one, labelled,
+is the oracle that verify (n <= 5) and the tests check the networks below
+against. The final state has one form, the ``resultant`` pair: the
+permutation of 1..n+1 read left to right skipping the hole, and the
+hole's site; the last pass snapshot's arms read it.
 
 Invariant: under any schedule, no site holds more than two chips, and an
 empty site lies between any two doubled sites. Proof sketch: the start has
@@ -33,16 +34,16 @@ comparators, as ``dataclasses`` generates ``__init__``. Above that nothing
 is kept: ``resultant`` applies each pass as it comes, in O(n) memory.
 ``stabilize_passes`` keeps nothing for any n: it yields each snapshot as
 its pass comes, so a trace holds one pass at a time and raises its errors
-on iteration. ``stabilize_random`` stays a labelled simulation, the
-independent check of the network; by the invariant it runs on two slot
-lists, the first and the second chip of each site.
+on iteration. A seed's random schedule is one network per (n,p) too,
+which ``_seeded`` builds for ``schedule_independence``. By the invariant
+``stabilize_random`` runs on two slot lists, first and second chips.
 
 The random schedule draws only at real choice points: when two or more
 sites are eligible. A draw from range(m) is the remainder of a pool
 divided by m, and the pool keeps the quotient. The pool starts as the
 512-bit block blake2b(f"{seed}/{block}") for block 0, and the next block
-is hashed whenever the pool falls below 2^64 (once per process: the
-harness replays its seeds on every configuration). A draw thus reduces a
+is hashed whenever the pool falls below 2^64 (once per process: verify
+replays its seeds on every configuration). A draw thus reduces a
 number of at least 2^64, so its bias is below m/2^64. A run without a
 choice point (every p=1 and p=n configuration) hashes nothing, and a seed
 replays its schedule through ``topple --random --seed``.
@@ -85,7 +86,7 @@ def _read_resultant(low: list[int]) -> tuple[Perm, int]:
 _REFILL = 1 << 64
 
 
-# 1 024 blocks (about 0.25 MB) hold the 100 seeds a schedule test cycles through per configuration
+# 1 024 blocks (about 0.25 MB) hold the 5 seeds verify's sweep replays on every configuration
 @lru_cache(maxsize=1024, typed=True)
 def _block(seed: int, block: int) -> int:
     """The 512-bit block blake2b(f"{seed}/{block}") as a little-endian int."""
@@ -252,6 +253,43 @@ def _generate(passes: tuple[_Pass, ...]) -> Callable:
     namespace: dict = {}
     exec("\n".join(lines), namespace)
     return namespace["run"]
+
+
+def _seeded(n: int, p: int, seed: int) -> Callable[[tuple[int, ...]], tuple[Perm, int]]:
+    """
+    ``run`` of seed's random schedule on S(n,p): ``stabilize_random``'s loop
+    over registers, as ``_schedule`` runs the passes, with the same draws
+    and errors; toppling a site is the comparator (low[site], high[site]).
+    """
+    draw = _Draws(seed).below
+    low = [0, *range(1, p + 1), *range(p + 2, n + 2), 0]
+    high = [0] * len(low)
+    high[p] = p + 1
+    eligible = [p]
+    comparators = []
+    last = n + 1
+    while eligible:
+        if len(eligible) > 1:
+            idx = draw(len(eligible))
+            site = eligible[idx]
+            eligible[idx] = eligible[-1]
+            eligible.pop()
+        else:
+            site = eligible.pop()
+        i = low[site]
+        j = high[site]
+        low[site] = high[site] = 0
+        comparators.append((i, j))
+        for near, chip in ((site - 1, i), (site + 1, j)):
+            if low[near]:
+                if near in (0, last):
+                    raise ConfinementError(f"site {near} accumulated two chips")
+                high[near] = chip
+                eligible.append(near)
+            else:
+                low[near] = chip
+    order, empty_site = _read_resultant(low)
+    return _generate((_Pass(tuple(comparators), order[:empty_site], (), order[empty_site:]),))
 
 
 def _run(w: list[int], comparators: tuple[tuple[int, int], ...]) -> None:

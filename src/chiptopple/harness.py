@@ -413,16 +413,18 @@ def schedule_independence(n: int, p: int, seeds: int, base_seed: int = 0) -> int
     """
     Stabilize every configuration of S(n,p) under ``seeds`` random
     schedules and compare with the pass stabilizer. Returns the number of
-    runs; raises on the first disagreement.
+    runs; raises on the first disagreement. A seed's schedule is one
+    comparator network of S(n,p), built once and run on every chip word.
     """
+    next(_chip_words(n, p, 0, 0), None)  # bad sizes raise here, before any network is built
     runs = 0
-    for config in enumerate_configurations(n, p):
-        reference = resultant(config)
-        for offset in range(seeds):
-            if stabilize_random(config, base_seed + offset)[0] != reference:
-                raise AssertionError(
-                    f"seed {base_seed + offset} disagrees on {format_configuration(config)}"
-                )
+    for seed in range(base_seed, base_seed + seeds):
+        run = engine._seeded(n, p, seed)
+        words, fed = tee(_chip_words(n, p))
+        for chips, reference in zip(words, resultants(n, p, fed)):
+            if run(chips) != reference:
+                config = Configuration._trusted(n, p, chips)
+                raise AssertionError(f"seed {seed} disagrees on {format_configuration(config)}")
             runs += 1
     return runs
 

@@ -201,6 +201,14 @@ class TestCompiledSchedule:
                 assert final == stabilize_random(config, n)[0]
                 assert final == resultant(config)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_seeded_network_is_the_random_schedule(self, n):
+        for p in range(1, n + 1):
+            for seed in range(3):
+                run = engine._seeded(n, p, seed)
+                for config in harness.enumerate_configurations(n, p):
+                    assert run(config.chips) == stabilize_random(config, seed)[0]
+
     def test_generated_run_on_a_sample_at_n_8(self):
         rng = random.Random(8)
         for p in range(1, 9):
@@ -342,3 +350,22 @@ class TestDraws:
             taken.clear()
             stabilize_random(parse_configuration("4,(3,2),1"), seed)
             assert taken == [2]  # sites 1 and 3 both eligible, once; a pair draw would add m = 6
+
+    def test_seeded_network_draws_only_at_choice_points(self, monkeypatch):
+        taken = []
+
+        class Recorded(engine._Draws):
+            __slots__ = ()
+
+            def below(self, m):
+                taken.append(m)
+                return super().below(m)
+
+        monkeypatch.setattr(engine, "_Draws", Recorded)
+        engine._seeded(3, 1, 0)  # p = 1: every step is forced
+        assert taken == []
+        for seed in range(10):
+            taken.clear()
+            run = engine._seeded(3, 2, seed)  # the network of 4,(3,2),1
+            assert taken == [2]
+            assert run((4, 2, 3, 1)) == stabilize_random(parse_configuration("4,(3,2),1"), seed)[0]

@@ -423,6 +423,36 @@ class TestMarkedCounts:
 
 def test_schedule_independence_counts_runs():
     assert schedule_independence(3, 2, 4) == 12 * 4
+    assert schedule_independence(4, 1, 3, base_seed=7) == 60 * 3
+    assert schedule_independence(3, 2, 0) == 0
+
+
+@pytest.mark.parametrize(
+    "args,error,message",
+    [
+        ((8, 1, 1), CapExceeded, "n = 8 exceeds the configuration cap 7"),
+        ((3, 0, 1), ValueError, "p outside 1..3"),
+        ((3, 4, 1), ValueError, "p outside 1..3"),
+        ((3, 4, 0), ValueError, "p outside 1..3"),
+    ],
+)
+def test_schedule_independence_rejects_bad_sizes(args, error, message):
+    with pytest.raises(error) as info:
+        schedule_independence(*args)
+    assert str(info.value) == message
+
+
+def test_schedule_independence_fails_loudly(monkeypatch):
+    seeded = engine._seeded
+
+    def broken(n, p, seed):
+        run = seeded(n, p, seed)
+        return lambda chips: ((), 0) if chips == (1, 2, 3, 4) else run(chips)
+
+    monkeypatch.setattr(engine, "_seeded", broken)
+    with pytest.raises(AssertionError) as info:
+        schedule_independence(3, 2, 2)
+    assert str(info.value) == "seed 0 disagrees on 1,(2,3),4"
 
 
 class TestVerifyReport:
