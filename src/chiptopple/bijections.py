@@ -1,14 +1,15 @@
 """Constructive bijections.
 
 ``callan_to_vesztergombi`` sends a Callan word with U underlined and O
-overlined values to a (U,O)-Vesztergombi permutation. Within each block,
-every element points at its predecessor: a follower a in an underlined
-block gets value pred + O + 1, a follower b in an overlined block gets
-pred - U - 1, and the word's first element always gets value O+1 (so the
-first word letter is recoverable as the position of O+1). The remaining
-block leaders take the still-missing values: leaders of underlined blocks
-receive the smallest ones in block order, leaders of overlined blocks the
-rest, again ascending in block order.
+overlined values to a (U,O)-Vesztergombi permutation. Every element but
+the first points at its predecessor in the word: a follower a within an
+underlined block gets value pred + O + 1, a follower b within an
+overlined block gets pred - U - 1, and the word's first element always
+gets value O+1 (so the first word letter is recoverable as the position
+of O+1). An element that starts a new block is a leader; the leaders take
+the still-missing values: leaders of underlined blocks receive the
+smallest ones in word order, leaders of overlined blocks the rest, again
+ascending in word order.
 
 ``phi`` reduces a configuration toppling to a resultant perm down to the
 record skeleton: non-record chips sit on forced sites, so deleting them
@@ -23,36 +24,22 @@ from .families import CALLAN_SIZES, CallanWord, is_p_resultant, is_vesztergombi
 
 def callan_to_vesztergombi(word: CallanWord) -> Perm:
     """
-    Map a Callan word to a (U,O)-Vesztergombi permutation. Word elements
-    double as positions of the output.
+    Map a Callan word to a (U,O)-Vesztergombi permutation, in one pass
+    over the word. Word elements double as positions of the output.
     """
     u, o = word.underlined, word.overlined
-    total = u + o
-    sigma = [0] * (total + 1)  # 1-based positions
-    blocks = word.blocks()
-    for block in blocks:
-        if block[0] <= u:
-            for prev, elem in zip(block, block[1:]):
-                sigma[elem] = prev + o + 1
+    values = word.values
+    sigma = [0] * (u + o + 1)  # 1-based positions
+    sigma[values[0]] = o + 1
+    leaders: tuple[list[int], list[int]] = [], []  # underlined, overlined block leaders in word order
+    for prev, elem in zip(values, values[1:]):
+        low = elem <= u
+        if (prev <= u) != low:
+            leaders[not low].append(elem)
         else:
-            for prev, elem in zip(block, block[1:]):
-                sigma[elem] = prev - u - 1
-    sigma[word.values[0]] = o + 1
-    underlined_leaders = []
-    overlined_leaders = []
-    for index, block in enumerate(blocks):
-        if index == 0:
-            continue  # the word's first element already got O+1
-        if block[0] <= u:
-            underlined_leaders.append(block[0])
-        else:
-            overlined_leaders.append(block[0])
-    used = {v for v in sigma[1:] if v}
-    missing = [v for v in range(1, total + 1) if v not in used]
-    head, tail = missing[: len(underlined_leaders)], missing[len(underlined_leaders) :]
-    for leader, value in zip(underlined_leaders, head):
-        sigma[leader] = value
-    for leader, value in zip(overlined_leaders, tail):
+            sigma[elem] = prev + o + 1 if low else prev - u - 1
+    missing = sorted(set(range(1, u + o + 1)).difference(sigma))
+    for leader, value in zip(leaders[0] + leaders[1], missing):
         sigma[leader] = value
     result = tuple(sigma[1:])
     if not is_vesztergombi(result, u, o):

@@ -43,13 +43,21 @@ def _decimal(value: int) -> str:
 
 
 class _Cli(click.Group):
-    """The one error boundary: a domain error from any subcommand becomes one Error: line."""
+    """
+    The one error boundary: a domain error from any subcommand becomes one
+    Error: line. So does a ``MemoryError``, as a last resort: it keeps the
+    traceback off the terminal but bounds no computation, so an input that
+    outgrows memory (such as a large Stirling triangle) still runs until
+    the allocation fails or the host stops it.
+    """
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
         except (ValueError, CapExceeded) as exc:
             raise click.ClickException(str(exc)) from exc
+        except MemoryError as exc:
+            raise click.ClickException("out of memory") from exc
 
 
 @click.group(cls=_Cli)

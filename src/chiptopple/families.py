@@ -10,21 +10,25 @@ families are the excedance-set family, the half-open window family, and
 Callan words that start underlined.
 
 The recognizers in ``FAMILIES`` are the specification behind
-``enumerate_family`` and ``count_family``. ``memberships`` instead
-classifies each permutation v of 1..N at every split (x, N-x),
-1 <= x <= N-1, with one scan, by three interval rules. With
-D+ = max(v_i - i) and D- = max(i - v_i):
+``enumerate_family`` and ``count_family``. ``family_lanes`` instead
+classifies every permutation of 1..N at every split at once, bit-sliced:
+bit m of each int stands for the m-th permutation in lexicographic order.
+Its planes ge[i][t], the lanes whose entry at position i is at least t,
+follow from those of N-1 by the block rule of ``_planes``, and each family
+is an AND of planes over the positions:
 
-- Vesztergombi (k, N-k) holds exactly when D- <= k <= N - D+, and the
-  half-open window (N-k, k) exactly when D- <= k <= N - 1 - D+;
-- excedance set (N-j, j) holds exactly when the excedance set is {1..j};
-- Callan (u, N-u) holds exactly when every value that starts an ascent is
-  <= u and every value that starts a descent is > u.
+- Vesztergombi (k, N-k) and the half-open window (N-k, k) bound every
+  entry between two planes;
+- excedance set (N-k, k) takes the lanes above the diagonal at positions
+  1..k and on or below it after;
+- Callan (u, N-u) takes the lanes where every entry but the last starts an
+  ascent exactly when it is <= u.
 """
 from __future__ import annotations
 
 import dataclasses
 from itertools import permutations
+from math import factorial
 from typing import Callable, Iterator
 
 from .core import Perm, left_record_values, right_record_values, split_at
@@ -208,53 +212,66 @@ def count_family(family: str, **params: int) -> int:
     return sum(1 for _ in enumerate_family(family, **params))
 
 
-def _split_ranges(values: Perm) -> dict[str, range]:
+def _planes(size: int) -> list[list[int]]:
     """
-    For each two-parameter family of ``FAMILIES``, the first parameters x
-    in 1..N-1 for which values (a permutation of 1..N) belongs to the
-    family at the split (x, N - x), by the interval rules of the module
-    docstring, from one scan of values.
+    ge[i][t] for positions 0 <= i < size and thresholds 0 <= t <= size+1:
+    the lanes whose entry at position i is at least t, lane m being the
+    m-th permutation of 1..size in lexicographic order. Block b, the
+    (size-1)! lanes whose entry 0 is b+1, lists the permutations of the
+    other values in order, which are those of 1..size-1 with every value
+    above b+1 raised by one. So position 0 is at least t in blocks t-1..,
+    and block b of position i >= 1 is ge_{size-1}[i-1][t] for t <= b+1 and
+    ge_{size-1}[i-1][t-1] above.
     """
-    size = len(values)
-    rise = fall = 0  # D+ and D-
-    excedances = last_excedance = 0
-    ascent, descent = 1, size  # bounds on Callan's u before any step is seen
-    previous = size + 1  # the first value ends no step
-    for i, v in enumerate(values, start=1):
-        if v > i:
-            excedances += 1
-            last_excedance = i
-            if v - i > rise:
-                rise = v - i
-        elif i - v > fall:
-            fall = i - v
-        if previous < v:
-            if previous > ascent:
-                ascent = previous
-        elif previous < descent:
-            descent = previous
-        previous = v
-    least_k = max(fall, 1)
-    prefix = 0 < excedances == last_excedance  # the excedance set is {1..excedances}
-    return {
-        "vesztergombi": range(least_k, size - max(rise, 1) + 1),
-        "callan": range(ascent, descent),
-        "window_c": range(rise + 1, size - least_k + 1),
-        "excedance_set": range(size - excedances, size - excedances + prefix),
-    }
+    ge = [[1, 1, 0]]
+    for m in range(2, size + 1):
+        width = factorial(m - 1)
+        full = (1 << m * width) - 1
+        first = [full >> s << s for s in (max(t - 1, 0) * width for t in range(m + 2))]
+        ge = [first] + [
+            [sum(row[t if t <= b + 1 else t - 1] << b * width for b in range(m)) for t in range(m + 2)]
+            for row in ge
+        ]
+    return ge
 
 
-def memberships(size: int) -> Iterator[tuple[tuple[str, int, int], Perm]]:
+def family_lanes(size: int) -> dict[tuple, int]:
     """
-    (key, permutation) for every family membership at every split of size,
-    from one pass over S_size in lexicographic order: key (family, x, y)
-    with x + y = size, the parameters in the order of ``FAMILIES``.
+    The lanes of every family at every split of size, bit m standing for
+    the m-th permutation of 1..size in lexicographic order. Keys are
+    (family, x, y) for x + y = size, x, y >= 1, with the parameters in the
+    order of ``FAMILIES``, and ("callan_first", u, o, first) for every
+    first letter 1..size.
     """
     _check_cap(size)
-    for values in permutations(range(1, size + 1)):
-        for name, xs in _split_ranges(values).items():
-            for x in xs:
-                yield (name, x, size - x), values
+    ge = _planes(size)
+    full, top = ge[0][0], size + 1
+
+    def band(below: int, above: int) -> int:
+        """The lanes with i - below <= v <= i + above at every position i."""
+        lanes = full
+        for i, row in enumerate(ge, start=1):
+            lanes &= row[max(i - below, 0)] & ~row[min(i + above + 1, top)]
+        return lanes
+
+    # ascents[i]: entry i is v and entry i+1 at least v+1, for some v (disjoint terms)
+    ascents = [sum((row[v] ^ row[v + 1]) & after[v + 1] for v in range(1, size)) for row, after in zip(ge, ge[1:])]
+    lanes: dict[tuple, int] = {}
+    for x in range(1, size):
+        y = size - x
+        lanes["vesztergombi", x, y] = band(x, y)
+        lanes["window_c", x, y] = band(y, x - 1)
+        excedances = full
+        for i, row in enumerate(ge, start=1):
+            excedances &= row[i + 1] if i <= y else full ^ row[i + 1]
+        lanes["excedance_set", x, y] = excedances
+        broken = 0  # lanes where some entry starts an ascent and is > x, or a descent and is <= x
+        for row, ascent in zip(ge, ascents):
+            broken |= ascent ^ full ^ row[x + 1]
+        callan = lanes["callan", x, y] = full ^ broken
+        for first in range(1, top):
+            lanes["callan_first", x, y, first] = callan & (ge[0][first] ^ ge[0][first + 1])
+    return lanes
 
 
 def count_acyclic_orientations(n: int, k: int, mode: str = "all") -> int:

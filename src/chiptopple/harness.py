@@ -21,8 +21,8 @@ configuration, the (r,p) counts, the every-r verdicts, the marked fibers
 and the windowed readings. The sweep and the all-r counts share one pool
 per run. Only the fixed-size claims (the S_6 marked tables and fiber-class
 array, the S(3,2) listing and the phi loop) topple on their own. The
-permutation sets are built once per run too: one families scan per size,
-and each decomposable set by construction.
+permutation sets are built once per run too: one bit-sliced families scan
+per size, and each decomposable set by construction.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import json
 import os
 from collections import Counter
 from functools import cache, partial, reduce
-from itertools import chain, combinations, islice, permutations, product, tee
+from itertools import chain, combinations, compress, islice, permutations, product, tee
 from math import comb, factorial
 from operator import add, eq, itemgetter
 from typing import Callable, Hashable, Iterator, Mapping
@@ -63,7 +63,7 @@ ROUND_TRIP_SIZE = 7  # and the Callan/Vesztergombi round trips on sizes 2..7
 
 Sweep = dict[tuple[int, int], Counter]  # (n, p) -> tally of S(n,p), see _sweep_chunk
 Facts = dict[tuple[int, int], dict[str, int]]  # (n, p) -> _pass_facts(n, p)
-Members = dict[tuple[str, int, int], list[Perm]]  # family key -> members, see _scan_families
+Members = dict[tuple[str, int, int], list[Perm]]  # family key -> members read off its lanes, see _scan_families
 
 
 # ---------------------------------------------------------------------------
@@ -224,22 +224,22 @@ def _decomposable(m: int, p: int) -> list[Perm]:
 
 def _scan_families() -> tuple[dict[int, Counter], Members]:
     """
-    One ``families.memberships`` scan per size 2..8. Returns, by size, the
-    count of every membership key and of the Callan words by first
-    letter, keyed ("callan_first", underlined, overlined, first); and, for
-    sizes up to ROUND_TRIP_SIZE, the Callan and Vesztergombi members by
-    key, in lexicographic order.
+    One bit-sliced ``families.family_lanes`` scan per size 2..8. Returns,
+    by size, the count of every family key, including the Callan words by
+    first letter, keyed ("callan_first", underlined, overlined, first);
+    and, for sizes up to ROUND_TRIP_SIZE, the Callan and Vesztergombi
+    members by key, in lexicographic order.
     """
     counts: dict[int, Counter] = {}
     members: Members = {}
     for size in range(2, 9):
-        tally = counts[size] = Counter()
-        for (name, x, y), values in families.memberships(size):
-            tally[name, x, y] += 1
-            if name == "callan":
-                tally["callan_first", x, y, values[0]] += 1
-            if size <= ROUND_TRIP_SIZE and name in ("callan", "vesztergombi"):
-                members.setdefault((name, x, y), []).append(values)
+        lanes = families.family_lanes(size)
+        counts[size] = Counter({key: mask.bit_count() for key, mask in lanes.items()})
+        if size <= ROUND_TRIP_SIZE:
+            perms = list(permutations(range(1, size + 1)))  # lane m is perms[m]
+            for key, mask in lanes.items():
+                if key[0] in ("callan", "vesztergombi"):
+                    members[key] = list(compress(perms, map(int, reversed(f"{mask:b}"))))
     return counts, members
 
 

@@ -52,6 +52,45 @@ def oracle_is_callan(perm: tuple[int, ...], underlined: int) -> bool:
     return True
 
 
+def oracle_callan_to_vesztergombi(
+    values: tuple[int, ...], underlined: int, overlined: int
+) -> tuple[int, ...]:
+    """
+    The Callan-to-Vesztergombi map built block by block: cut the word into
+    its maximal runs first, give every follower its predecessor's value
+    plus O+1 (underlined) or minus U+1 (overlined) and the first letter
+    O+1, then hand the missing values in ascending order to the other
+    underlined leaders and then to the overlined ones, in block order.
+    """
+    u, o = underlined, overlined
+    total = u + o
+    sigma = [0] * (total + 1)  # 1-based positions
+    blocks = [tuple(run) for _, run in groupby(values, key=lambda value: value <= u)]
+    for block in blocks:
+        if block[0] <= u:
+            for prev, elem in zip(block, block[1:]):
+                sigma[elem] = prev + o + 1
+        else:
+            for prev, elem in zip(block, block[1:]):
+                sigma[elem] = prev - u - 1
+    sigma[values[0]] = o + 1
+    underlined_leaders = []
+    overlined_leaders = []
+    for block in blocks[1:]:  # the word's first element already got O+1
+        if block[0] <= u:
+            underlined_leaders.append(block[0])
+        else:
+            overlined_leaders.append(block[0])
+    used = {v for v in sigma[1:] if v}
+    missing = [v for v in range(1, total + 1) if v not in used]
+    head, tail = missing[: len(underlined_leaders)], missing[len(underlined_leaders) :]
+    for leader, value in zip(underlined_leaders, head):
+        sigma[leader] = value
+    for leader, value in zip(overlined_leaders, tail):
+        sigma[leader] = value
+    return tuple(sigma[1:])
+
+
 def oracle_acyclic_orientations(n: int, k: int, mode: str = "all") -> int:
     """
     Acyclic orientations of K_{n,k}, one orientation at a time: build the

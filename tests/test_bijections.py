@@ -15,7 +15,7 @@ from chiptopple.core import (
 from chiptopple.engine import resultant
 from chiptopple.families import CallanWord, enumerate_family
 from chiptopple.polybernoulli import b_number
-from conftest import oracle_configurations
+from conftest import oracle_callan_to_vesztergombi, oracle_configurations
 
 WORD_15 = (5, 7, 12, 11, 1, 4, 8, 14, 3, 6, 9, 15, 13, 10, 2)
 SIGMA_15 = (1, 6, 4, 8, 7, 10, 12, 11, 13, 3, 2, 9, 5, 14, 15)
@@ -57,6 +57,20 @@ class TestCallanVesztergombi:
             assert vesztergombi_to_callan(sigma, u, o).values == word.values
             # the first letter of the word is the position of O+1
             assert sigma.index(o + 1) + 1 == word.values[0]
+
+    def test_one_pass_map_equals_block_oracle(self):
+        # every Callan word of sizes 2..8 against the block-by-block construction
+        words = [
+            CallanWord(values=w, underlined=u, overlined=total - u)
+            for total in range(2, 9)
+            for u in range(1, total)
+            for w in enumerate_family("callan", underlined=u, overlined=total - u)
+        ]
+        assert len(words) == 23_300
+        for word in words:
+            expected = oracle_callan_to_vesztergombi(word.values, word.underlined, word.overlined)
+            assert callan_to_vesztergombi(word) == expected, word
+        assert oracle_callan_to_vesztergombi(WORD_15, 9, 6) == SIGMA_15
 
     def test_rejects_non_vesztergombi(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import validate
 
-from chiptopple import engine
+from chiptopple import engine, polybernoulli
 from chiptopple.cli import cli
 from chiptopple.core import format_configuration, format_permutation, make_configuration
 from conftest import small_configurations
@@ -305,6 +305,19 @@ class TestCount:
         assert result.exit_code == 0
         assert result.output == f"{value}\n"
 
+
+    def test_out_of_memory_is_a_one_line_error(self, runner, monkeypatch):
+        # the last-resort boundary; the request that runs out is stood in for by a raising kernel
+        def exhausted(n, k, method="closed"):
+            raise MemoryError
+
+        monkeypatch.setattr(polybernoulli, "poly_bernoulli_B", exhausted)
+        result = run(runner, "polybernoulli", "B", "--n", "3000", "--k", "3000")
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr == "Error: out of memory\n"
+        assert "Traceback" not in result.output
 
 # One argv template per command shape. Each placeholder takes a fresh draw:
 # {int} an integer around every size boundary; {lit} a valid permutation or

@@ -1,20 +1,18 @@
-from collections import Counter
-
 import pytest
 
 from chiptopple.families import (
     FAMILIES,
     CallanWord,
     CapExceeded,
-    _split_ranges,
+    _planes,
     count_acyclic_orientations,
     count_family,
     enumerate_family,
     excedance_set,
+    family_lanes,
     is_callan,
     is_p_resultant,
     is_vesztergombi,
-    memberships,
     validate_r_placement,
 )
 from chiptopple.polybernoulli import b_number, c_number
@@ -98,11 +96,7 @@ class TestEnumerateFamily:
 
     def test_family_counts_match_numbers(self):
         for total in range(2, 8):
-            table = Counter()
-            for (name, x, y), values in memberships(total):
-                table[name, x, y] += 1
-                if name == "callan":
-                    table["callan_first", x, y, values[0]] += 1
+            table = {key: lanes.bit_count() for key, lanes in family_lanes(total).items()}
             for k in range(1, total):
                 n = total - k
                 assert count_family("vesztergombi", k=k, n=n) == table["vesztergombi", k, n] == b_number(n, k)
@@ -116,12 +110,12 @@ class TestEnumerateFamily:
                 assert sum(table["callan_first", k, n, r] for r in range(1, k + 1)) == c_number(k, n)
 
     def test_family_members_are_the_enumerations(self):
-        members = {}
-        for key, values in memberships(5):
-            members.setdefault(key, []).append(values)
-        for (name, x, y), perms in members.items():
-            assert perms == list(enumerate_family(name, **dict(zip(FAMILIES[name][0], (x, y)))))
-        assert len(members) == 4 * 4
+        perms = list(oracle_permutations(5))
+        lanes = family_lanes(5)
+        for (name, *params), mask in lanes.items():
+            members = [perm for m, perm in enumerate(perms) if mask >> m & 1]
+            assert members == list(enumerate_family(name, **dict(zip(FAMILIES[name][0], params))))
+        assert len(lanes) == 4 * 4 + 4 * 5
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
@@ -136,19 +130,34 @@ class TestEnumerateFamily:
             count_family("callan_first", underlined=2, overlined=2)
 
 
-class TestIntervalRules:
+class TestFamilyLanes:
+    def test_planes_are_their_definition(self):
+        for size in range(1, 8):
+            perms = list(oracle_permutations(size))
+            planes = _planes(size)
+            assert len(planes) == size
+            for i, row in enumerate(planes):
+                assert len(row) == size + 2
+                for t, lanes in enumerate(row):
+                    assert lanes == sum(1 << m for m, perm in enumerate(perms) if perm[i] >= t), (size, i, t)
+
     def test_scan_matches_recognizers(self):
-        """Every split of every permutation of size <= 8, each family's range
+        """Every split of every permutation of size <= 8, each family's lanes
         against its recognizer, and Callan also against the run oracle."""
-        two_parameter = {name: fn for name, (names, fn) in FAMILIES.items() if len(names) == 2}
         for size in range(1, 9):
-            splits = range(1, size)
-            for perm in oracle_permutations(size):
-                ranges = _split_ranges(perm)
-                assert ranges.keys() == two_parameter.keys()
-                for name, recognize in two_parameter.items():
-                    assert set(ranges[name]) == {x for x in splits if recognize(perm, x, size - x)}, (name, perm)
-                assert set(ranges["callan"]) == {u for u in splits if oracle_is_callan(perm, u)}, perm
+            perms = list(oracle_permutations(size))
+            lanes = family_lanes(size)
+            splits = [(x, size - x) for x in range(1, size)]
+            keys = [(name, x, y) for name in FAMILIES if name != "callan_first" for x, y in splits]
+            keys += [("callan_first", u, o, first) for u, o in splits for first in range(1, size + 1)]
+            assert sorted(lanes) == sorted(keys)
+            for name, *params in keys:
+                recognize = FAMILIES[name][1]
+                accepted = sum(1 << m for m, perm in enumerate(perms) if recognize(perm, *params))
+                assert lanes[(name, *params)] == accepted, (name, *params)
+            for u, o in splits:
+                runs = sum(1 << m for m, perm in enumerate(perms) if oracle_is_callan(perm, u))
+                assert lanes["callan", u, o] == runs, u
 
 
 class TestAcyclicOrientations:
