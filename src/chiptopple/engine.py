@@ -5,11 +5,10 @@ site left and b one site right. Two stabilizers are provided: a seeded
 random schedule (site uniform over eligible sites) and the deterministic
 pass schedule, which topples the doubled site once and then every other
 eligible site until only the doubled site remains. Both reach the same
-final state after the same number of topplings; the random one, labelled,
-is the oracle that verify (n <= 5) and the tests check the networks below
-against. The final state has one form, the ``resultant`` pair: the
-permutation of 1..n+1 read left to right skipping the hole, and the
-hole's site; the last pass snapshot's arms read it.
+final state after the same number of topplings. The final state has one
+form, the ``resultant`` pair: the permutation of 1..n+1 read left to
+right skipping the hole, and the hole's site; the last pass snapshot's
+arms read it.
 
 Invariant: under any schedule, no site holds more than two chips, and an
 empty site lies between any two doubled sites. Proof sketch: the start has
@@ -34,16 +33,18 @@ comparators, as ``dataclasses`` generates ``__init__``. Above that nothing
 is kept: ``resultant`` applies each pass as it comes, in O(n) memory.
 ``stabilize_passes`` keeps nothing for any n: it yields each snapshot as
 its pass comes, so a trace holds one pass at a time and raises its errors
-on iteration. A seed's random schedule is one network per (n,p) too,
-which ``_seeded`` builds for ``schedule_independence``. By the invariant
-``stabilize_random`` runs on two slot lists, first and second chips.
+on iteration. A seed's draws depend only on how many sites are
+eligible, so its random schedule is one network per (n,p) too, which
+``_random_schedule`` yields in passes of up to n+1 comparators.
+``stabilize_random`` applies each pass as it comes, as ``resultant`` does
+above n = 8, and ``_seeded`` keeps the network as one generated ``run``
+for ``schedule_independence`` and verify's sweep.
 
 The random schedule draws only at real choice points: when two or more
 sites are eligible. A draw from range(m) is the remainder of a pool
 divided by m, and the pool keeps the quotient. The pool starts as the
 512-bit block blake2b(f"{seed}/{block}") for block 0, and the next block
-is hashed whenever the pool falls below 2^64 (once per process: verify
-replays its seeds on every configuration). A draw thus reduces a
+is hashed whenever the pool falls below 2^64. A draw thus reduces a
 number of at least 2^64, so its bias is below m/2^64. A run without a
 choice point (every p=1 and p=n configuration) hashes nothing, and a seed
 replays its schedule through ``topple --random --seed``.
@@ -86,7 +87,7 @@ def _read_resultant(low: list[int]) -> tuple[Perm, int]:
 _REFILL = 1 << 64
 
 
-# 1 024 blocks (about 0.25 MB) hold the 5 seeds verify's sweep replays on every configuration
+# 1 024 blocks (about 0.25 MB): callers that replay a few seeds on every configuration, as the tests do, hash each block once
 @lru_cache(maxsize=1024, typed=True)
 def _block(seed: int, block: int) -> int:
     """The 512-bit block blake2b(f"{seed}/{block}") as a little-endian int."""
@@ -114,53 +115,6 @@ class _Draws:
             self.block += 1
         self.pool, value = divmod(self.pool, m)
         return value
-
-
-def stabilize_random(config: Configuration, seed: int) -> tuple[tuple[Perm, int], int]:
-    """
-    Stabilize under the seeded random schedule. Returns the ``resultant``
-    pair and the toppling count; neither depends on the seed.
-    """
-    draw = _Draws(seed).below
-    # low[x] and high[x]: the first and second chip at site x, 0 for none
-    chips, p = config.chips, config.p
-    low = [0, *chips[:p], *chips[p + 1 :], 0]
-    high = [0] * len(low)
-    high[p] = chips[p]
-    eligible = [p]
-    topples = 0
-    last = config.n + 1
-    while eligible:
-        if len(eligible) > 1:
-            idx = draw(len(eligible))
-            site = eligible[idx]
-            eligible[idx] = eligible[-1]
-            eligible.pop()
-        else:
-            site = eligible.pop()
-        a = low[site]
-        b = high[site]
-        if a > b:
-            a, b = b, a
-        low[site] = high[site] = 0
-        left = site - 1
-        if low[left]:
-            if left == 0:
-                raise ConfinementError("site 0 accumulated two chips")
-            high[left] = a
-            eligible.append(left)
-        else:
-            low[left] = a
-        right = site + 1
-        if low[right]:
-            if right == last:
-                raise ConfinementError(f"site {last} accumulated two chips")
-            high[right] = b
-            eligible.append(right)
-        else:
-            low[right] = b
-        topples += 1
-    return _read_resultant(low), topples
 
 
 class _Pass(NamedTuple):
@@ -255,11 +209,12 @@ def _generate(passes: tuple[_Pass, ...]) -> Callable:
     return namespace["run"]
 
 
-def _seeded(n: int, p: int, seed: int) -> Callable[[tuple[int, ...]], tuple[Perm, int]]:
+def _random_schedule(n: int, p: int, seed: int) -> Iterator[_Pass]:
     """
-    ``run`` of seed's random schedule on S(n,p): ``stabilize_random``'s loop
-    over registers, as ``_schedule`` runs the passes, with the same draws
-    and errors; toppling a site is the comparator (low[site], high[site]).
+    Yield seed's random schedule on S(n,p) as ``_schedule`` yields the
+    passes, over the same registers, but with the site drawn from the
+    eligible ones: passes of up to n+1 comparators, with empty layouts,
+    and a last pass whose arms give the read order and the empty site.
     """
     draw = _Draws(seed).below
     low = [0, *range(1, p + 1), *range(p + 2, n + 2), 0]
@@ -288,8 +243,16 @@ def _seeded(n: int, p: int, seed: int) -> Callable[[tuple[int, ...]], tuple[Perm
                 eligible.append(near)
             else:
                 low[near] = chip
+        if len(comparators) > n:
+            yield _Pass(tuple(comparators), (), (), ())
+            comparators = []
     order, empty_site = _read_resultant(low)
-    return _generate((_Pass(tuple(comparators), order[:empty_site], (), order[empty_site:]),))
+    yield _Pass(tuple(comparators), order[:empty_site], (), order[empty_site:])
+
+
+def _seeded(n: int, p: int, seed: int) -> Callable[[tuple[int, ...]], tuple[Perm, int]]:
+    """``run`` of seed's random schedule on S(n,p), the network ``_random_schedule`` yields."""
+    return _generate(tuple(_random_schedule(n, p, seed)))
 
 
 def _run(w: list[int], comparators: tuple[tuple[int, int], ...]) -> None:
@@ -302,12 +265,27 @@ def _run(w: list[int], comparators: tuple[tuple[int, int], ...]) -> None:
             w[j] = a
 
 
+def _applied(passes: Iterable[_Pass], chips: tuple[int, ...]) -> tuple[tuple[Perm, int], int]:
+    """The resultant pair of a chip word, each pass applied as it comes, and the comparators applied."""
+    w = [0, *chips]
+    topples = 0
+    for step in passes:
+        _run(w, step.comparators)
+        topples += len(step.comparators)
+    return (tuple([w[r] for r in step.left_arm + step.right_arm]), len(step.left_arm)), topples
+
+
 def _streamed(n: int, p: int, chips: tuple[int, ...]) -> tuple[Perm, int]:
     """The resultant pair of a chip word of S(n,p), n > _MEMO_N: each pass applied as it is found."""
-    w = [0, *chips]
-    for step in _schedule(n, p):
-        _run(w, step.comparators)
-    return tuple([w[r] for r in step.left_arm + step.right_arm]), len(step.left_arm)
+    return _applied(_schedule(n, p), chips)[0]
+
+
+def stabilize_random(config: Configuration, seed: int) -> tuple[tuple[Perm, int], int]:
+    """
+    Stabilize under the seeded random schedule. Returns the ``resultant``
+    pair and the toppling count; neither depends on the seed.
+    """
+    return _applied(_random_schedule(config.n, config.p, seed), config.chips)
 
 
 def stabilize_passes(config: Configuration) -> Iterator[PassSnapshot]:

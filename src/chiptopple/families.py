@@ -55,17 +55,6 @@ class CallanWord:
         if violation is not None:
             raise ValueError(violation)
 
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """Maximal runs of same-class values, in word order."""
-        out: list[list[int]] = []
-        for value in self.values:
-            cls = value <= self.underlined
-            if out and (out[-1][0] <= self.underlined) == cls:
-                out[-1].append(value)
-            else:
-                out.append([value])
-        return tuple(tuple(b) for b in out)
-
 
 def _callan_violation(values: Perm, underlined: int, overlined: int) -> str | None:
     """The first rule that values breaks as a Callan word, or None."""

@@ -52,7 +52,7 @@ from .core import (
     reverse_complement_perm,
     unlift,
 )
-from .engine import resultant, resultants, stabilize_random
+from .engine import resultant, resultants
 from .families import CallanWord, CapExceeded
 
 PERM_CAP = 8  # enumerate at most 8! permutations by default
@@ -168,7 +168,8 @@ def _sweep_chunk(args: tuple[int, int, int, int, int]) -> Counter:
     "reading window" is whether the window verdict agrees with the
     Vesztergombi window of ``map_w(config, r)``, read after site p. For
     n <= READING_N it also tallies "schedules agree" (the random schedules
-    of seeds 0..seeds-1 all reach the network's pair), "lift inverts
+    of seeds 0..seeds-1, each built once per chunk as a network by
+    ``engine._seeded``, all reach the pass network's pair), "lift inverts
     unlift" (for both readings) and "mirror involution"
     (``reverse_complement`` goes to S(n, n+1-p) and back). Only these
     library calls get a ``Configuration``, unvalidated, for n <= ENGINE_N.
@@ -177,6 +178,7 @@ def _sweep_chunk(args: tuple[int, int, int, int, int]) -> Counter:
     tally: Counter = Counter()
     words, fed = tee(_chip_words(n, p, lo, hi))
     mirror_run = engine._program(n, n + 1 - p).run if n <= ENGINE_N else None
+    seeded = [engine._seeded(n, p, seed) for seed in range(seeds)] if n <= READING_N else []
     for chips, (perm, empty_site) in zip(words, resultants(n, p, fed)):
         window = characterize.is_p_toppleable_word(chips, n, p)
         tally["resultant", perm] += 1
@@ -199,7 +201,7 @@ def _sweep_chunk(args: tuple[int, int, int, int, int]) -> Counter:
                 tally["reading window", window == windowed] += 1
         if n > READING_N:
             continue
-        scheduled = all(stabilize_random(config, seed)[0] == (perm, empty_site) for seed in range(seeds))
+        scheduled = all(run(chips) == (perm, empty_site) for run in seeded)
         lifted = len(readings) == 2 and all(lift(q, r, p) == config for q, r in readings)
         tally["schedules agree", scheduled] += 1
         tally["lift inverts unlift", lifted] += 1

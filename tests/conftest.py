@@ -8,6 +8,7 @@ from itertools import combinations, groupby, permutations
 import pytest
 from hypothesis import strategies as st
 
+from chiptopple import engine
 from chiptopple.core import Configuration, make_configuration
 
 
@@ -24,6 +25,59 @@ def oracle_configurations(n: int, p: int) -> list[Configuration]:
                 contents.append(pair if site == p else next(it))
             out.append(make_configuration(contents))
     return out
+
+
+def oracle_stabilize_random(config: Configuration, seed: int) -> tuple[tuple[tuple[int, ...], int], int]:
+    """
+    The seeded random schedule as a labelled simulation: the chips
+    themselves, not registers, move between sites, and the resultant pair
+    is read off the final sites. Returns that pair and the toppling count.
+    It shares only the draws (``engine._Draws``, which define what a seed
+    means) and the error type with the library.
+    """
+    draw = engine._Draws(seed).below
+    # low[x] and high[x]: the first and second chip at site x, 0 for none
+    chips, p = config.chips, config.p
+    low = [0, *chips[:p], *chips[p + 1 :], 0]
+    high = [0] * len(low)
+    high[p] = chips[p]
+    eligible = [p]
+    topples = 0
+    last = config.n + 1
+    while eligible:
+        if len(eligible) > 1:
+            idx = draw(len(eligible))
+            site = eligible[idx]
+            eligible[idx] = eligible[-1]
+            eligible.pop()
+        else:
+            site = eligible.pop()
+        a = low[site]
+        b = high[site]
+        if a > b:
+            a, b = b, a
+        low[site] = high[site] = 0
+        left = site - 1
+        if low[left]:
+            if left == 0:
+                raise engine.ConfinementError("site 0 accumulated two chips")
+            high[left] = a
+            eligible.append(left)
+        else:
+            low[left] = a
+        right = site + 1
+        if low[right]:
+            if right == last:
+                raise engine.ConfinementError(f"site {last} accumulated two chips")
+            high[right] = b
+            eligible.append(right)
+        else:
+            low[right] = b
+        topples += 1
+    if low.count(0) != 1:
+        raise ValueError("final state must have exactly one empty site")
+    empty_site = low.index(0)
+    return (tuple(low[:empty_site] + low[empty_site + 1 :]), empty_site), topples
 
 
 @st.composite

@@ -96,6 +96,19 @@ class TestTopple:
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
+    def test_random_schedule_bytes_are_pinned(self, runner):
+        # pins the seeded schedule's stdout: seeds negative or wider than 64 bits, sizes past
+        # the kept programs (n > 8), and p = 1 and p = n, where no draw is taken
+        digest = hashlib.sha256()
+        for n in (3, 7, 40, 800):
+            for p in sorted({1, -(-n // 2), n}):
+                literal = _seeded_literal(n, p)
+                for seed in (0, 1, -1, 2**70):
+                    result = run(runner, "topple", "--config", literal, "--seed", str(seed))
+                    assert result.exit_code == 0
+                    digest.update(result.stdout_bytes)
+        assert digest.hexdigest() == "c4b0e2615892ea81c25f7c2d3884a800e999eb12aa0c613977d95daa9b9490c7"
+
     def test_trace_memory_holds_one_pass(self):
         # the trace at n = 2 500 is 20.6 MB of JSON; written a pass at a time it peaks near plain topple's 19 MB.
         # On Linux ru_maxrss also keeps the peak of the image the child was exec'd from (this

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from chiptopple.core import make_configuration, parse_configuration, reverse_complement, reverse_complement_perm
 from chiptopple import engine, harness
 from chiptopple.engine import resultant, stabilize_passes, stabilize_random
-from conftest import oracle_configurations, small_configurations
+from conftest import oracle_configurations, oracle_stabilize_random, small_configurations
 
 
 FIXED_POINTS = [
@@ -94,7 +94,8 @@ class TestScheduleIndependence:
             for config in oracle_configurations(n, p):
                 final, trace = _traced(config)
                 count = sum(snap.topples for snap in trace)
-                assert [stabilize_random(config, seed)[1] for seed in range(3)] == [count] * 3
+                for seed in range(3):
+                    assert stabilize_random(config, seed) == oracle_stabilize_random(config, seed) == (final, count)
                 assert resultant(config) == final
 
     @given(small_configurations())
@@ -164,7 +165,10 @@ class TestCompiledSchedule:
             final = resultant(config)
             assert _traced(config)[0] == final
             assert list(engine.resultants(n, p, [config.chips])) == [final]
-            assert [stabilize_random(config, seed)[0] for seed in range(3)] == [final] * 3
+            for seed in range(3):
+                labelled = oracle_stabilize_random(config, seed)
+                assert labelled[0] == final
+                assert stabilize_random(config, seed) == labelled
             assert (n, p) not in engine._PROGRAMS
 
     def test_resultant_memory_is_linear_above_n_8(self):
@@ -180,6 +184,25 @@ class TestCompiledSchedule:
                 tracemalloc.stop()
         assert peaks[800] < 2.5 * peaks[400]
         assert peaks[1600] < 1_000_000
+
+    def test_random_schedule_memory_is_linear_above_n_8(self, monkeypatch):
+        """One ``stabilize_random`` call holds O(n) memory, not the p(n+1-p) comparators of its schedule."""
+        # the block cache has its own bound (1 024 blocks), and whether a run hits or refills it
+        # depends on what ran before, so blocks are hashed uncached here; a first, untraced run
+        # does the one-off work (the hashlib import, the interpreter's free lists)
+        monkeypatch.setattr(engine, "_block", engine._block.__wrapped__)
+        peaks = {}
+        for n in (400, 800):
+            config = _shuffled_configuration(n, n // 2, random.Random(n))
+            stabilize_random(config, 0)
+            tracemalloc.start()
+            try:
+                stabilize_random(config, 0)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[800] < 2.5 * peaks[400]
+        assert peaks[800] < 1_000_000
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 40])
     def test_last_pass_leaves_one_hole(self, n):
@@ -198,7 +221,7 @@ class TestCompiledSchedule:
             assert len(generated) == len(configs)
             for config, final in zip(configs, generated):
                 assert final == _interpreted(program, config.chips)
-                assert final == stabilize_random(config, n)[0]
+                assert final == oracle_stabilize_random(config, n)[0]
                 assert final == resultant(config)
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -207,7 +230,7 @@ class TestCompiledSchedule:
             for seed in range(3):
                 run = engine._seeded(n, p, seed)
                 for config in harness.enumerate_configurations(n, p):
-                    assert run(config.chips) == stabilize_random(config, seed)[0]
+                    assert run(config.chips) == oracle_stabilize_random(config, seed)[0]
 
     def test_generated_run_on_a_sample_at_n_8(self):
         rng = random.Random(8)
@@ -218,7 +241,7 @@ class TestCompiledSchedule:
                 final = program.run(config.chips)
                 assert final == _interpreted(program, config.chips)
                 assert final == engine._streamed(8, p, config.chips)
-                assert final == stabilize_random(config, p)[0]
+                assert final == oracle_stabilize_random(config, p)[0]
 
     @pytest.mark.parametrize("p", [1, 5, 8])
     def test_only_kept_programs_are_generated(self, p):

@@ -497,7 +497,7 @@ class TestVerifyReport:
     @pytest.mark.parametrize(
         "name,claims",
         [
-            ("stabilize_random", ["random schedules agree with passes"]),
+            ("_seeded", ["random schedules agree with passes"]),
             ("lift", ["the two unlift readings invert lift"]),
             (
                 "reverse_complement",
@@ -511,7 +511,8 @@ class TestVerifyReport:
     def test_a_folded_check_still_fails(self, monkeypatch, name, claims):
         # break the function on one configuration of S(3,2): exactly the
         # claims that read it turn into mismatches
-        real = getattr(harness, name)
+        module = engine if name == "_seeded" else harness
+        real = getattr(module, name)
         target, other = parse_configuration("1,(2,3),4"), parse_configuration("4,(2,3),1")
 
         def broken_on_config(config, *args):
@@ -521,7 +522,12 @@ class TestVerifyReport:
             config = real(perm, r, p)
             return lift((3, 2, 1), r, p) if config == target else config
 
-        monkeypatch.setattr(harness, name, broken_lift if name == "lift" else broken_on_config)
+        def broken_seeded(n, p, seed):
+            run = real(n, p, seed)
+            return lambda chips: run(other.chips if chips == target.chips else chips)
+
+        broken = {"lift": broken_lift, "_seeded": broken_seeded}.get(name, broken_on_config)
+        monkeypatch.setattr(module, name, broken)
         report = verify_identities(n_max=3, seeds=2)
         assert [item.claim for item in report.items if item.status == MISMATCH] == claims
 
