@@ -9,7 +9,9 @@ gets value O+1 (so the first word letter is recoverable as the position
 of O+1). An element that starts a new block is a leader; the leaders take
 the still-missing values: leaders of underlined blocks receive the
 smallest ones in word order, leaders of overlined blocks the rest, again
-ascending in word order.
+ascending in word order. ``vesztergombi_to_callan`` walks that pass back:
+it reads each follower off its value, starts at the position of O+1, and
+at the end of each block goes on at the next leader of the other class.
 
 ``phi`` reduces a configuration toppling to a resultant perm down to the
 record skeleton: non-record chips sit on forced sites, so deleting them
@@ -18,7 +20,7 @@ the remaining freedom.
 """
 from __future__ import annotations
 
-from .core import Configuration, Perm, record_class, record_split, records
+from .core import Configuration, Perm, record_class, record_split
 from .families import CALLAN_SIZES, CallanWord, is_p_resultant, is_vesztergombi
 
 
@@ -49,54 +51,36 @@ def callan_to_vesztergombi(word: CallanWord) -> Perm:
 
 def vesztergombi_to_callan(sigma: Perm, underlined: int, overlined: int) -> CallanWord:
     """
-    Invert ``callan_to_vesztergombi``: recover the block chains from the
-    value offsets and reassemble the word, alternating block classes
-    starting from the position of O+1.
+    Invert ``callan_to_vesztergombi`` in one pass over sigma. An underlined
+    element valued at least O+2 follows value - O - 1, an overlined one
+    valued at most O-1 follows value + U + 1; every other element but the
+    start leads a block, and a class's leaders come in word order as their
+    values ascend, since the forward map handed them the missing values so.
     """
     u, o = underlined, overlined
-    total = u + o
     if u < 1 or o < 1:
         raise ValueError(CALLAN_SIZES)
     if not is_vesztergombi(sigma, u, o):
         raise ValueError(f"{sigma} is not ({u},{o})-Vesztergombi")
     start = sigma.index(o + 1) + 1
-    follower_of: dict[int, int] = {}
-    underlined_leaders: list[tuple[int, int]] = []  # (assigned value, element)
-    overlined_leaders: list[tuple[int, int]] = []
-    for elem in range(1, total + 1):
-        value = sigma[elem - 1]
-        if elem == start:
-            continue
-        if elem <= u:
-            if value >= o + 2:
-                follower_of[value - o - 1] = elem
-            else:
-                underlined_leaders.append((value, elem))
-        else:
-            if value <= o - 1:
-                follower_of[value + u + 1] = elem
-            else:
-                overlined_leaders.append((value, elem))
-
-    def chain(head: int) -> tuple[int, ...]:
-        out = [head]
-        while out[-1] in follower_of:
-            out.append(follower_of[out[-1]])
-        return tuple(out)
-
-    underlined_blocks = [chain(elem) for _, elem in sorted(underlined_leaders)]
-    overlined_blocks = [chain(elem) for _, elem in sorted(overlined_leaders)]
-    if start <= u:
-        first, others, mine = chain(start), overlined_blocks, underlined_blocks
-    else:
-        first, others, mine = chain(start), underlined_blocks, overlined_blocks
-    if not len(mine) <= len(others) <= len(mine) + 1:
-        raise ValueError(f"{sigma} does not decompose into alternating blocks")
-    values: list[int] = list(first)
-    for index, block in enumerate(others):
-        values.extend(block)
-        if index < len(mine):
-            values.extend(mine[index])
+    follower: dict[int, int] = {}
+    leaders: tuple[list, list] = [], []  # (value, element) of underlined, overlined leaders
+    for elem, value in enumerate(sigma, start=1):
+        if elem <= u and value >= o + 2:
+            follower[value - o - 1] = elem
+        elif elem > u and value <= o - 1:
+            follower[value + u + 1] = elem
+        elif elem != start:
+            leaders[elem > u].append((value, elem))
+    queues = [sorted(found, reverse=True) for found in leaders]  # the next leader last
+    values = [start]
+    for _ in range(u + o - 1):  # a bad decoding stops here and fails below
+        last = values[-1]
+        queue = queues[last <= u]
+        if last in follower:
+            values.append(follower[last])
+        elif queue:
+            values.append(queue.pop()[1])
     word = CallanWord(values=tuple(values), underlined=u, overlined=o)
     if callan_to_vesztergombi(word) != sigma:
         raise AssertionError(f"roundtrip failed for {sigma}")
@@ -126,8 +110,7 @@ def phi(config: Configuration, perm: Perm, verify: bool = False) -> Configuratio
         if actual != perm:
             raise ValueError(f"configuration topples to {actual}, not {perm}")
     lrec, rrec = record_split(perm, p)
-    keep = sorted(lrec) + sorted(rrec)
-    relabel = {chip: index for index, chip in enumerate(keep, start=1)}
+    relabel = {chip: index for index, chip in enumerate(lrec + rrec, start=1)}
     if not all(c in relabel for c in config.pair):
         raise ValueError("a chip of the doubled site is not a record; resultant mismatch")
     site = 1 + sum(c in relabel for c in config.chips[: p - 1])
@@ -155,10 +138,10 @@ def phi_inverse(reduced: Configuration, perm: Perm, p: int | None = None) -> Con
     """
     Rebuild the configuration toppling to perm from its record skeleton.
     Chips of the reduced configuration are relabelled to the record values
-    of perm; each non-record then has a forced site: the one at 1-based
-    position m of perm goes to site p+m-1 when it belongs to the prefix
-    and to site p+m-n-1 when it belongs to the suffix. The remaining sites
-    receive the skeleton in order. ``p`` may be omitted when the record
+    of perm; every other value of perm is a non-record with a forced site:
+    the one at 1-based position m of perm goes to site p+m-1 when it
+    belongs to the prefix and to site p+m-n-1 when it belongs to the
+    suffix. The remaining sites receive the skeleton in order. ``p`` may be omitted when the record
     counts determine it.
     """
     i = reduced.n + 1 - reduced.p
@@ -175,18 +158,12 @@ def phi_inverse(reduced: Configuration, perm: Perm, p: int | None = None) -> Con
         raise ValueError(
             f"skeleton shape ({i},{j}) does not match the records of {perm} at p={p}"
         )
-    keep = sorted(lrec) + sorted(rrec)
-    relabel = {index: chip for index, chip in enumerate(keep, start=1)}
+    keep = lrec + rrec
     placed: dict[int, int] = {}
     cut = n + 1 - p
-    prefix_record_pos = {pos for pos, _ in records(perm[:cut], "left_max")}
-    for m in range(1, cut + 1):
-        if m not in prefix_record_pos:
-            placed[p + m - 1] = perm[m - 1]
-    suffix_record_pos = {cut + pos for pos, _ in records(perm[cut:], "right_min")}
-    for m in range(cut + 1, n + 2):
-        if m not in suffix_record_pos:
-            placed[p + m - n - 1] = perm[m - 1]
+    for m, value in enumerate(perm, start=1):
+        if value not in keep:
+            placed[p + m - 1 if m <= cut else p + m - n - 1] = value
     free_sites = [site for site in range(1, n + 1) if site not in placed]
     if len(free_sites) != reduced.n:
         raise ValueError("forced sites collide; invalid perm/skeleton combination")
@@ -196,5 +173,5 @@ def phi_inverse(reduced: Configuration, perm: Perm, p: int | None = None) -> Con
     for site, value in placed.items():
         chips[site - 1 if site < p else site] = value
     # the skeleton's chips fill the free slots in order, its pair at p
-    skeleton = iter([relabel[c] for c in reduced.chips])
+    skeleton = iter([keep[c - 1] for c in reduced.chips])
     return Configuration(n=n, p=p, chips=tuple([c or next(skeleton) for c in chips]))

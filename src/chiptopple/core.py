@@ -148,16 +148,17 @@ def marked_split(perm: Perm, p: int, r: int) -> tuple[int, int, int]:
     """
     Class key of a marked resultant: (a, b, k) with a left records of the
     prefix below r, b above it, and k right records of the suffix. For
-    r > n-p the key is computed on the mirrored instance, where the added
-    chip lands in the prefix again.
+    r > n-p the added chip lands in the suffix, and the key is read as on
+    the mirrored instance: suffix records above r, suffix records below
+    r, and the prefix record count.
+
+    >>> marked_split((2, 1, 3, 5, 4), 2, 1), marked_split((2, 1, 3, 5, 4), 2, 5)
+    ((0, 2, 1), (0, 1, 2))
     """
-    n = len(perm)
-    if r > n - p:
-        return marked_split(reverse_complement_perm(perm), n - p, n + 1 - r)
     lrec, rrec = record_split(perm, p)
-    a = sum(1 for v in lrec if v < r)
-    b = sum(1 for v in lrec if v > r)
-    return a, b, len(rrec)
+    if r > len(perm) - p:
+        return sum(v > r for v in rrec), sum(v < r for v in rrec), len(lrec)
+    return sum(v < r for v in lrec), sum(v > r for v in lrec), len(rrec)
 
 
 def reverse_complement_perm(perm: Perm) -> Perm:

@@ -41,6 +41,7 @@ from .core import (
     Configuration,
     Perm,
     format_configuration,
+    identity,
     inverse,
     left_record_values,
     lift,
@@ -286,7 +287,7 @@ def _parallel_sum(items: list[tuple[Callable, tuple, int]], jobs: int) -> list:
 def brute_count_toppleable(n: int, p: int, oracle: str = "simulate", jobs: int = 1) -> int:
     """Count configurations toppling to the sorted state, by enumeration."""
     tests = {
-        "simulate": (_resultant_perms, partial(eq, tuple(range(1, n + 2)))),
+        "simulate": (_resultant_perms, partial(eq, identity(n + 1))),
         "characterize": (_chip_words, partial(characterize.is_p_toppleable_word, n=n, p=p)),
     }
     if oracle not in tests:
@@ -578,7 +579,7 @@ def _verify_kernel(report: VerifyReport) -> None:
 def _verify_toppleable(report: VerifyReport, sweep: Sweep) -> None:
     formula = {(n, p): polybernoulli.count_toppleable_configs(n, p) for n, p in sweep}
     for (n, p), tally in sweep.items():
-        simulated = tally["resultant", tuple(range(1, n + 2))]
+        simulated = tally["resultant", identity(n + 1)]
         report.add("toppleable configurations", f"n={n} p={p}", formula[n, p], simulated)
         report.add("window oracle agrees with simulation", f"n={n} p={p}", simulated, tally["window", True])
     for label, printed in PRINTED_TABLE2_ROWS.items():

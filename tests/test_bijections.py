@@ -59,7 +59,8 @@ class TestCallanVesztergombi:
             assert sigma.index(o + 1) + 1 == word.values[0]
 
     def test_one_pass_map_equals_block_oracle(self):
-        # every Callan word of sizes 2..8 against the block-by-block construction
+        # every Callan word of sizes 2..8 against the block-by-block construction,
+        # and the walk back from each image
         words = [
             CallanWord(values=w, underlined=u, overlined=total - u)
             for total in range(2, 9)
@@ -70,6 +71,7 @@ class TestCallanVesztergombi:
         for word in words:
             expected = oracle_callan_to_vesztergombi(word.values, word.underlined, word.overlined)
             assert callan_to_vesztergombi(word) == expected, word
+            assert vesztergombi_to_callan(expected, word.underlined, word.overlined).values == word.values
         assert oracle_callan_to_vesztergombi(WORD_15, 9, 6) == SIGMA_15
 
     def test_rejects_non_vesztergombi(self):
@@ -110,7 +112,7 @@ class TestPhi:
             parse_configuration("4,(1,3),2")
         )
 
-    @pytest.mark.parametrize("n,p", [(n, p) for n in range(1, 5) for p in range(1, n + 1)])
+    @pytest.mark.parametrize("n,p", [(n, p) for n in range(1, 6) for p in range(1, n + 1)])
     def test_exhaustive_roundtrip(self, n, p):
         fibers = {}
         for config in oracle_configurations(n, p):

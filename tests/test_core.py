@@ -13,6 +13,7 @@ from chiptopple.core import (
     make_configuration,
     make_permutation,
     map_w,
+    marked_split,
     parse_configuration,
     parse_permutation,
     records,
@@ -210,6 +211,21 @@ class TestReverseComplement:
     @given(perms)
     def test_perm_variant_is_involution(self, perm):
         assert reverse_complement_perm(reverse_complement_perm(perm)) == perm
+
+    def test_marked_split_past_the_prefix_is_the_mirrored_key(self):
+        # the definition: for r > n-p, mirror so that the added chip lands in the prefix
+        def mirrored_key(perm, p, r):
+            n = len(perm)
+            if r > n - p:
+                return mirrored_key(reverse_complement_perm(perm), n - p, n + 1 - r)
+            lrec, rrec = left_record_values(perm[: n - p]), right_record_values(perm[n - p :])
+            return sum(v < r for v in lrec), sum(v > r for v in lrec), len(rrec)
+
+        for n in range(1, 8):
+            for perm in oracle_permutations(n):
+                for p in range(1, n + 1):
+                    for r in range(1, n + 2):
+                        assert marked_split(perm, p, r) == mirrored_key(perm, p, r), (perm, p, r)
 
 
 class TestLiterals:

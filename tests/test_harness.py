@@ -506,12 +506,13 @@ class TestVerifyReport:
                     "reverse-complement is an involution onto S(n,n+1-p)",
                 ],
             ),
+            ("phi_inverse", ["record-skeleton reduction is a fiber bijection"]),
         ],
     )
     def test_a_folded_check_still_fails(self, monkeypatch, name, claims):
         # break the function on one configuration of S(3,2): exactly the
         # claims that read it turn into mismatches
-        module = engine if name == "_seeded" else harness
+        module = {"_seeded": engine, "phi_inverse": bijections}.get(name, harness)
         real = getattr(module, name)
         target, other = parse_configuration("1,(2,3),4"), parse_configuration("4,(2,3),1")
 
