@@ -20,7 +20,7 @@ the remaining freedom.
 """
 from __future__ import annotations
 
-from .core import Configuration, Perm, record_class, record_split
+from .core import Configuration, Perm, make_permutation, record_class, record_split
 from .families import CALLAN_SIZES, CallanWord, is_p_resultant, is_vesztergombi
 
 
@@ -56,7 +56,9 @@ def vesztergombi_to_callan(sigma: Perm, underlined: int, overlined: int) -> Call
     valued at most O-1 follows value + U + 1; every other element but the
     start leads a block, and a class's leaders come in word order as their
     values ascend, since the forward map handed them the missing values so.
+    Raises ValueError unless sigma is a (U,O)-Vesztergombi permutation.
     """
+    sigma = make_permutation(sigma)
     u, o = underlined, overlined
     if u < 1 or o < 1:
         raise ValueError(CALLAN_SIZES)

@@ -5,12 +5,20 @@ three independent flavours (closed sum over Stirling numbers, signed
 inclusion-exclusion sum, and a column recurrence) that must agree; the
 default cached accessors use the closed formula. The B array is OEIS
 A099594.
+
+The two sums are evaluated by Horner's rule on their factorial weights,
+from the top index down, so no term builds m! or (m!)^2. Each recurrence
+entry is one dot product of a binomial row with the previous column, and
+the columns are filled row by row so that one binomial row serves every
+column that needs that row.
 """
 from __future__ import annotations
 
-from functools import cache
-from math import comb, factorial
-from typing import Callable, Sequence
+from functools import cache, partial
+from itertools import count, repeat
+from math import comb
+from operator import add, mul
+from typing import Callable, Iterator, Sequence
 
 from .core import Perm, marked_split, split_at
 from .families import validate_r_placement
@@ -25,27 +33,55 @@ _B_RECURRENCE: list[list[int]] = []  # _B_RECURRENCE[k][n] = B(n, k)
 _C_RECURRENCE: list[list[int]] = []  # _C_RECURRENCE[k][n] = C(n, k)
 
 
-def _extend(columns: list[list[int]], last: int, depth: int, entry: Callable[[int, int], int]) -> None:
+def _extend(
+    columns: list[list[int]], last: int, depth: int, rows: Callable[[int], Iterator[Callable[[int], int]]]
+) -> None:
     """
-    Grow columns 0..last to ``depth`` entries each, entry(c, t) giving
-    entry t of column c. Only the columns that are too short are touched.
+    Grow columns 0..last to ``depth`` entries each, row-major: rows(t0)
+    yields, for t = t0, t0+1, ..., the function that maps c to entry t of
+    column c, and that function is called for the short columns in
+    ascending c, so entry t of column c-1 is in place before column c
+    needs it. What a row shares between its entries (a binomial row for
+    the recurrences) is built once per row and dropped after it. Only the
+    columns that are too short are touched.
     """
     short = last
     while short >= 0 and (short >= len(columns) or len(columns[short]) < depth):
         short -= 1
-    for c in range(short + 1, last + 1):
-        if c == len(columns):
-            columns.append([])
-        column = columns[c]
-        for t in range(len(column), depth):
-            column.append(entry(c, t))
+    while len(columns) <= last:
+        columns.append([])
+    # the columns first..last are the ones t entries long: a suffix, since
+    # no column is longer than the one before it
+    start, first = len(columns[last]), last
+    for t, entry in zip(range(start, depth), rows(start)):
+        while first > short + 1 and len(columns[first - 1]) == t:
+            first -= 1
+        for c in range(first, last + 1):
+            columns[c].append(entry(c))
 
 
-def _stirling_entry(m: int, t: int) -> int:
+def _stirling_entry(t: int, m: int) -> int:
     if t == 0:
         return 1
     left = _STIRLING[m - 1][t] if m else 0
     return m * _STIRLING[m][t - 1] + left
+
+
+def _stirling_rows(start: int) -> Iterator[Callable[[int], int]]:
+    for t in count(start):
+        yield partial(_stirling_entry, t)
+
+
+def _binomial_rows(entry: Callable[[int, list[int], int], int], start: int) -> Iterator[Callable[[int], int]]:
+    """
+    Rows for ``_extend`` whose entries read a binomial row: row n maps c to
+    entry(n, [binom(n, 0), ..., binom(n, n)], c). Each binomial row after
+    the first comes from the one before by Pascal's rule.
+    """
+    row = list(map(comb, repeat(start), range(start + 1)))
+    for n in count(start):
+        yield partial(entry, n, row)
+        row = [1, *map(add, row, row[1:]), 1]
 
 
 @cache
@@ -63,67 +99,82 @@ def stirling2(n: int, m: int) -> int:
         raise ValueError("negative index")
     if m > n:
         return 0
-    _extend(_STIRLING, m, n - m + 1, _stirling_entry)
+    _extend(_STIRLING, m, n - m + 1, _stirling_rows)
     return _STIRLING[m][n - m]
 
 
 @cache
 def b_number(n: int, k: int) -> int:
-    """Cached B(n,k) via the closed formula."""
-    return sum(
-        factorial(m) ** 2 * stirling2(n + 1, m + 1) * stirling2(k + 1, m + 1)
-        for m in range(min(n, k) + 1)
-    )
+    """
+    Cached B(n,k) via the closed formula, by Horner's rule on (m!)^2: from
+    m = min(n,k) down, total = total (m+1)^2 + S(n+1,m+1) S(k+1,m+1).
+    """
+    total = 0
+    for m in range(min(n, k), -1, -1):
+        total = total * (m + 1) ** 2 + stirling2(n + 1, m + 1) * stirling2(k + 1, m + 1)
+    return total
 
 
 def _b_inclusion_exclusion(n: int, k: int) -> int:
-    return sum(
-        (-1) ** (n - m) * factorial(m) * stirling2(n, m) * (m + 1) ** k
-        for m in range(n + 1)
-    )
+    """
+    Horner's rule on m!, with the sign (-1)^(n-m) folded in: from m = n
+    down, total = S(n,m) (m+1)^k - (m+1) total gives the sum times (-1)^n.
+    """
+    total = 0
+    for m in range(n, -1, -1):
+        total = stirling2(n, m) * (m + 1) ** k - (m + 1) * total
+    return -total if n % 2 else total
 
 
-def _b_recurrence_entry(k: int, n: int) -> int:
+def _b_recurrence_entry(n: int, binomials: list[int], k: int) -> int:
     if k == 0 or n == 0:
         return 1
+    # sum over m of binom(n,m) B(n-m+1,k-1), read as binom(n,j-1) B(j,k-1)
+    # for j = n-m+1 since binom(n,m) = binom(n,n-m)
     previous = _B_RECURRENCE[k - 1]
-    return previous[n] + sum(comb(n, m) * previous[n - m + 1] for m in range(1, n + 1))
+    return previous[n] + sum(map(mul, binomials, previous[1 : n + 1]))
 
 
 def _b_recurrence(n: int, k: int) -> int:
-    _extend(_B_RECURRENCE, k, n + 1, _b_recurrence_entry)
+    _extend(_B_RECURRENCE, k, n + 1, partial(_binomial_rows, _b_recurrence_entry))
     return _B_RECURRENCE[k][n]
 
 
 @cache
 def c_number(n: int, k: int) -> int:
-    """Cached C(n,k) via the closed formula."""
-    return sum(
-        factorial(m) ** 2 * stirling2(n + 1, m + 1) * stirling2(k, m)
-        for m in range(min(n, k) + 1)
-    )
+    """
+    Cached C(n,k) via the closed formula, by Horner's rule on (m!)^2: from
+    m = min(n,k) down, total = total (m+1)^2 + S(n+1,m+1) S(k,m).
+    """
+    total = 0
+    for m in range(min(n, k), -1, -1):
+        total = total * (m + 1) ** 2 + stirling2(n + 1, m + 1) * stirling2(k, m)
+    return total
 
 
 def _c_inclusion_exclusion(n: int, k: int) -> int:
+    """
+    Horner's rule on m!, with the sign (-1)^(k+m) folded in: from m = k
+    down, total = (m+1)^n S(k+1,m+1) - (m+1) total gives the sum times (-1)^k.
+    """
     # The sum runs over the second index: the same sum over the first one
     # produces the transposed array (it disagrees with C(2,1) = 3 already).
-    return sum(
-        (-1) ** (k + m) * factorial(m) * (m + 1) ** n * stirling2(k + 1, m + 1)
-        for m in range(k + 1)
-    )
+    total = 0
+    for m in range(k, -1, -1):
+        total = (m + 1) ** n * stirling2(k + 1, m + 1) - (m + 1) * total
+    return -total if k % 2 else total
 
 
-def _c_recurrence_entry(k: int, n: int) -> int:
+def _c_recurrence_entry(n: int, binomials: list[int], k: int) -> int:
     if k == 0:
         return 1
     if n == 0:
         return 0
-    previous = _C_RECURRENCE[k - 1]
-    return sum(comb(n, m) * previous[n - m + 1] for m in range(1, n + 1))
+    return sum(map(mul, binomials, _C_RECURRENCE[k - 1][1 : n + 1]))
 
 
 def _c_recurrence(n: int, k: int) -> int:
-    _extend(_C_RECURRENCE, k, n + 1, _c_recurrence_entry)
+    _extend(_C_RECURRENCE, k, n + 1, partial(_binomial_rows, _c_recurrence_entry))
     return _C_RECURRENCE[k][n]
 
 
@@ -195,7 +246,9 @@ def forward_difference(f: Callable[[int], int], order: int, at: int) -> int:
     """
     if order < 0:
         raise ValueError("negative order")
-    return sum((-1) ** (order - j) * comb(order, j) * f(at + j) for j in range(order + 1))
+    terms = list(map(mul, map(comb, repeat(order), range(order + 1)), map(f, range(at, at + order + 1))))
+    # term j carries the sign (-1)^(order-j): positive where j has order's parity
+    return sum(terms[order % 2 :: 2]) - sum(terms[1 - order % 2 :: 2])
 
 
 def binomial_transform(prefix: Sequence[int]) -> tuple[int, ...]:

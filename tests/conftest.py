@@ -4,6 +4,7 @@ touches."""
 from __future__ import annotations
 
 from itertools import combinations, groupby, permutations
+from math import factorial
 
 import pytest
 from hypothesis import strategies as st
@@ -180,6 +181,42 @@ def oracle_acyclic_orientations(n: int, k: int, mode: str = "all") -> int:
         elif mode == "unique_sink_fixed_vertex" and n >= 1 and sinks == [0]:
             total += 1
     return total
+
+
+def oracle_poly_bernoulli(top: int) -> tuple[list[list[int]], list[list[int]]]:
+    """
+    The tables B[n][k] and C[n][k] for 0 <= n,k <= top as the textbook
+    sums, term by term: (m!)^2 S(n+1,m+1) S(k+1,m+1) for B and
+    (m!)^2 S(n+1,m+1) S(k,m) for C, over a Stirling triangle of its own
+    built row by row from S(n,m) = m S(n-1,m) + S(n-1,m-1).
+    """
+    stirling = [[1]]  # stirling[n][m] = S(n, m) for 0 <= m <= n
+    for n in range(1, top + 2):
+        above = stirling[-1] + [0]
+        stirling.append([0] + [m * above[m] + above[m - 1] for m in range(1, n + 1)])
+
+    def s(n: int, m: int) -> int:
+        return stirling[n][m] if m <= n else 0
+
+    def table(shift: int) -> list[list[int]]:
+        # shift = 1 for B (S(k+1, m+1)), 0 for C (S(k, m))
+        return [
+            [
+                sum(
+                    factorial(m) ** 2 * s(n + 1, m + 1) * s(k + shift, m + shift)
+                    for m in range(min(n, k) + 1)
+                )
+                for k in range(top + 1)
+            ]
+            for n in range(top + 1)
+        ]
+
+    return table(1), table(0)
+
+
+@pytest.fixture(scope="session")
+def textbook_poly_bernoulli() -> tuple[list[list[int]], list[list[int]]]:
+    return oracle_poly_bernoulli(40)
 
 
 @pytest.fixture(scope="session")

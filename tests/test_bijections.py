@@ -78,6 +78,12 @@ class TestCallanVesztergombi:
         with pytest.raises(ValueError):
             vesztergombi_to_callan((3, 2, 1), 1, 2)  # 3 at position 1 breaks -k <= v - i
 
+    @pytest.mark.parametrize("sigma", [(2, 2), (1, 1)])
+    def test_rejects_non_permutations(self, sigma):
+        # both lie inside the (1,1) displacement window
+        with pytest.raises(ValueError, match=r"not a permutation of 1\.\.2"):
+            vesztergombi_to_callan(sigma, 1, 1)
+
 
 class TestPhi:
     def test_example(self):

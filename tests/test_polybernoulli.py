@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 from math import comb
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chiptopple import polybernoulli
 from chiptopple.polybernoulli import (
     METHODS,
     b_number,
@@ -133,6 +135,38 @@ class TestTables:
             big, small, "inclusion_exclusion"
         )
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_b_against_textbook_sum(self, method, textbook_poly_bernoulli):
+        b_table, _ = textbook_poly_bernoulli
+        for n, row in enumerate(b_table):
+            for k, expected in enumerate(row):
+                assert poly_bernoulli_B(n, k, method) == expected, (n, k)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_c_against_textbook_sum(self, method, textbook_poly_bernoulli):
+        _, c_table = textbook_poly_bernoulli
+        for n, row in enumerate(c_table):
+            for k, expected in enumerate(row):
+                assert poly_bernoulli_C(n, k, method) == expected, (n, k)
+
+    def test_textbook_oracle_reads_the_printed_tables(self, textbook_poly_bernoulli):
+        b_table, c_table = textbook_poly_bernoulli
+        assert [row[:6] for row in b_table[:6]] == B_TABLE
+        assert [row[:6] for row in c_table[:6]] == C_TABLE
+
+    def test_recurrence_fill_keeps_one_binomial_row(self, monkeypatch):
+        # the three columns to n = 600 take a few hundred kB; every binomial
+        # row up to 600 kept at once would take about 12 MB
+        monkeypatch.setattr(polybernoulli, "_B_RECURRENCE", [])
+        tracemalloc.start()
+        try:
+            value = poly_bernoulli_B(600, 2, "recurrence")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 2 * 3**600 - 2**600
+        assert peak < 2_000_000
+
     def test_errors(self):
         with pytest.raises(ValueError):
             poly_bernoulli_B(-1, 0)
@@ -172,6 +206,20 @@ class TestDifferenceAndTransform:
             for n in range(9):
                 assert transformed[n] == (-1) ** n * c_number(k, n)
         assert binomial_transform(tuple(b_number(i, 3) for i in range(3)))[2] != c_number(2, 3)
+
+    @pytest.mark.parametrize(
+        "f",
+        [lambda i: b_number(i, 3), lambda i: (-2) ** i + i**3 - 7, lambda i: 5],
+        ids=["B(i,3)", "mixed-sign", "constant"],
+    )
+    def test_difference_matches_its_definition(self, f):
+        # Delta^m f(x) by differencing the values f(x..x+m) m times
+        for order in range(21):
+            for at in (0, 1, 6, 17):
+                values = [f(at + j) for j in range(order + 1)]
+                for _ in range(order):
+                    values = [b - a for a, b in zip(values, values[1:])]
+                assert forward_difference(f, order, at) == values[0], (order, at)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
