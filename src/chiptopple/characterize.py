@@ -5,8 +5,17 @@ chip starts inside a window around its target site; the same window on the
 inverse of a permutation characterizes being toppleable for every choice
 of the extra chip. None of these predicates run the dynamics; agreement
 with the simulator is checked in the test suite.
+
+``is_p_toppleable_word`` tests one chip word of any S(n,p). A caller that
+tests every word of one S(n,p) (the characterizing oracle of
+``harness.brute_count_toppleable`` and the verify sweep) builds the same
+window once per call or chunk with ``_window(n, p)``: one straight-line
+function, generated with ``exec``, that compares each single chip with its
+bound.
 """
 from __future__ import annotations
+
+from typing import Callable
 
 from .core import Configuration, Perm, inverse, lift
 
@@ -36,6 +45,25 @@ def is_p_toppleable_word(chips: tuple[int, ...], n: int, p: int) -> bool:
         if chip - site < bottom:
             return False
     return True
+
+
+def _window(n: int, p: int) -> Callable[[tuple[int, ...]], bool]:
+    """
+    ``is_p_toppleable_word`` on the chip words of S(n,p) as one function,
+    chip k of the word in local ck; the source holds only ints.
+    """
+    top = n + 1 - p
+    bottom = 1 - p
+    bounds = [f"c{k} <= {k + 1 + top}" for k in range(p - 1)]
+    bounds += [f"c{k} >= {k + bottom}" for k in range(p + 1, n + 1)]
+    lines = [
+        "def window(chips):",
+        f"    {''.join(f'c{k}, ' for k in range(n + 1))}= chips",
+        f"    return {' and '.join(bounds) or 'True'}",
+    ]
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["window"]
 
 
 def is_rp_toppleable(perm: Perm, r: int, p: int) -> bool:

@@ -31,7 +31,7 @@ import json
 import os
 from collections import Counter
 from functools import cache, partial, reduce
-from itertools import chain, combinations, compress, islice, permutations, product, tee
+from itertools import chain, combinations, compress, islice, permutations, product, repeat, tee
 from math import comb, factorial
 from operator import add, eq, itemgetter
 from typing import Callable, Hashable, Iterator, Mapping
@@ -95,14 +95,14 @@ def _chip_words(n: int, p: int, lo: int = 0, hi: int | None = None) -> Iterator[
     if lo >= hi:
         return
     pairs = list(combinations(chips, 2))
+    # arrangement + pair, read with the pair moved to indices p-1 and p
+    place = itemgetter(*range(p - 1), n - 1, n, *range(p - 1, n - 1))
     for pair_index in range(lo // per_pair, (hi + per_pair - 1) // per_pair):
         pair = pairs[pair_index]
         singles = tuple(c for c in chips if c not in pair)
         base = pair_index * per_pair
-        sub_lo = max(lo - base, 0)
-        sub_hi = min(hi - base, per_pair)
-        for arrangement in islice(permutations(singles), sub_lo, sub_hi):
-            yield arrangement[: p - 1] + pair + arrangement[p - 1 :]
+        arrangements = islice(permutations(singles), max(lo - base, 0), min(hi - base, per_pair))
+        yield from map(place, map(add, arrangements, repeat(pair)))
 
 
 def enumerate_configurations(
@@ -126,6 +126,12 @@ def _count_chunk(args: tuple[Callable, Callable, tuple, int, int]) -> int:
     """Count the items of ``enumerator(*sizes, lo, hi)`` that ``test`` accepts."""
     enumerator, test, sizes, lo, hi = args
     return sum(map(test, enumerator(*sizes, lo, hi)))
+
+
+def _window_chunk(args: tuple[int, int, int, int]) -> int:
+    """Count the chip words of S(n,p) with ranks in [lo, hi) inside their windows, the test built once per chunk."""
+    n, p, lo, hi = args
+    return sum(map(characterize._window(n, p), _chip_words(n, p, lo, hi)))
 
 
 def _resultant_perms(n: int, p: int, lo: int, hi: int | None) -> Iterator[Perm]:
@@ -173,24 +179,34 @@ def _sweep_chunk(args: tuple[int, int, int, int, int]) -> Counter:
     ``engine._seeded``, all reach the pass network's pair), "lift inverts
     unlift" (for both readings) and "mirror involution"
     (``reverse_complement`` goes to S(n, n+1-p) and back). Only these
-    library calls get a ``Configuration``, unvalidated, for n <= ENGINE_N.
+    library calls get a ``Configuration``, unvalidated, for n <= READING_N;
+    above it the mirror and the readings are read off the word. The window
+    test is built once per chunk (``characterize._window``).
     """
     n, p, seeds, lo, hi = args
     tally: Counter = Counter()
     words, fed = tee(_chip_words(n, p, lo, hi))
+    in_window = characterize._window(n, p)
     mirror_run = engine._program(n, n + 1 - p).run if n <= ENGINE_N else None
     seeded = [engine._seeded(n, p, seed) for seed in range(seeds)] if n <= READING_N else []
     for chips, (perm, empty_site) in zip(words, resultants(n, p, fed)):
-        window = characterize.is_p_toppleable_word(chips, n, p)
+        window = in_window(chips)
         tally["resultant", perm] += 1
         tally["window", window] += 1
         if n > ENGINE_N:
             continue
-        config = Configuration._trusted(n, p, chips)
-        mirror = reverse_complement(config)
-        mirrored, _ = mirror_run(mirror.chips)
+        if n > READING_N:
+            # the mirror and the readings on the word, as reverse_complement and unlift build them
+            mirror_chips = tuple([n + 2 - c for c in reversed(chips)])
+            read = chips[p - 1 : p + 1] if window else ()
+            readings = [(tuple([c if c < r else c - 1 for c in chips if c != r]), r) for r in read]
+        else:
+            config = Configuration._trusted(n, p, chips)
+            mirror = reverse_complement(config)
+            mirror_chips = mirror.chips
+            readings = unlift(config)
+        mirrored, _ = mirror_run(mirror_chips)
         tally["mirror commutes", mirrored == reverse_complement_perm(perm)] += 1
-        readings = unlift(config) if window or n <= READING_N else ()
         for q, r in readings:
             if window:
                 tally["rp toppleable", r] += 1
@@ -286,15 +302,15 @@ def _parallel_sum(items: list[tuple[Callable, tuple, int]], jobs: int) -> list:
 
 def brute_count_toppleable(n: int, p: int, oracle: str = "simulate", jobs: int = 1) -> int:
     """Count configurations toppling to the sorted state, by enumeration."""
-    tests = {
-        "simulate": (_resultant_perms, partial(eq, identity(n + 1))),
-        "characterize": (_chip_words, partial(characterize.is_p_toppleable_word, n=n, p=p)),
+    # the window test is generated in the worker: a function made by exec does not pickle
+    workers = {
+        "simulate": (_count_chunk, (_resultant_perms, partial(eq, identity(n + 1)), (n, p))),
+        "characterize": (_window_chunk, (n, p)),
     }
-    if oracle not in tests:
+    if oracle not in workers:
         raise ValueError(f"unknown oracle {oracle!r}")
     next(_chip_words(n, p, 0, 0), None)  # bad sizes raise here, before any pool starts
-    item = (_count_chunk, (*tests[oracle], (n, p)), configuration_count(n))
-    return _parallel_sum([item], jobs)[0]
+    return _parallel_sum([(*workers[oracle], configuration_count(n))], jobs)[0]
 
 
 def _permutation_item(n: int, test: Callable[[Perm], bool]) -> tuple[Callable, tuple, int]:

@@ -28,6 +28,16 @@ def oracle_configurations(n: int, p: int) -> list[Configuration]:
     return out
 
 
+def oracle_chip_words(n: int, p: int) -> list[tuple[int, ...]]:
+    """
+    Every chip word of S(n,p) in rank order: the permutations of 1..n+1
+    whose entries at indices p-1 and p (the pair) ascend, sorted by the
+    pair, then by the other chips in site order.
+    """
+    words = [word for word in permutations(range(1, n + 2)) if word[p - 1] < word[p]]
+    return sorted(words, key=lambda word: (word[p - 1 : p + 1], word[: p - 1] + word[p + 1 :]))
+
+
 def oracle_stabilize_random(config: Configuration, seed: int) -> tuple[tuple[tuple[int, ...], int], int]:
     """
     The seeded random schedule as a labelled simulation: the chips

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from chiptopple.characterize import (
+    _window,
     is_all_r_toppleable,
     is_p_toppleable,
     is_p_toppleable_word,
@@ -29,9 +32,29 @@ class TestWindowOnConfigurations:
 
     @pytest.mark.parametrize("n,p", [(n, p) for n in range(1, 8) for p in range(1, n + 1)])
     def test_word_form_equals_window_and_simulation(self, n, p):
+        window = _window(n, p)
         for config in oracle_configurations(n, p):
             toppled = resultant(config)[0] == tuple(range(1, n + 2))
-            assert is_p_toppleable_word(config.chips, n, p) == is_p_toppleable(config) == toppled
+            generated = window(config.chips)
+            assert generated == is_p_toppleable_word(config.chips, n, p) == is_p_toppleable(config) == toppled
+
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_generated_window_equals_word_form_past_the_cap(self, n):
+        # seeded walks of adjacent swaps from the sorted word, so that both verdicts occur
+        rng = random.Random(n)
+        verdicts = set()
+        for p in range(1, n + 1):
+            window = _window(n, p)
+            for _ in range(300):
+                chips = list(range(1, n + 2))
+                for _ in range(rng.randrange(3 * n)):
+                    k = rng.randrange(n)
+                    chips[k], chips[k + 1] = chips[k + 1], chips[k]
+                chips[p - 1 : p + 1] = sorted(chips[p - 1 : p + 1])
+                verdict = is_p_toppleable_word(tuple(chips), n, p)
+                assert window(tuple(chips)) == verdict
+                verdicts.add(verdict)
+        assert verdicts == {False, True}
 
 
 class TestMarkedWindow:

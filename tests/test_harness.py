@@ -33,7 +33,7 @@ from chiptopple.harness import (
     schedule_independence,
     verify_identities,
 )
-from conftest import oracle_configurations
+from conftest import oracle_chip_words, oracle_configurations
 
 
 @pytest.fixture()
@@ -96,6 +96,17 @@ class TestEnumerateConfigurations:
         for config in enumerate_configurations(n, p):
             assert config == Configuration(n=config.n, p=config.p, chips=config.chips)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_chip_words_match_the_oracle(self, n):
+        # ranges that are empty, cross pair blocks, or end past the total
+        per_pair, total = factorial(n - 1), configuration_count(n)
+        spans = [(0, None), (0, 0), (3, 3), (5, 2), (per_pair - 1, per_pair + 1), (per_pair // 2, 3 * per_pair + 1)]
+        spans += [(max(total - 3, 0), total + 5), (total + 2, total + 9), (max(total - per_pair - 1, 0), None)]
+        for p in range(1, n + 1):
+            words = oracle_chip_words(n, p)
+            for lo, hi in spans:
+                assert list(harness._chip_words(n, p, lo, hi)) == words[lo:hi]
+
     def test_range_slicing(self):
         full = list(enumerate_configurations(4, 3))
         pieces = [
@@ -138,6 +149,12 @@ class TestBruteCounts:
         assert brute_count_toppleable(5, 2, jobs=2) == brute_count_toppleable(5, 2)
         assert brute_T(5, 2, 3, jobs=2) == 22
 
+    def test_window_oracle_crosses_a_real_pool(self, monkeypatch):
+        # the generated window test does not pickle: each worker builds its own
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        for p in range(1, 6):
+            assert brute_count_toppleable(5, p, "characterize", jobs=2) == brute_count_toppleable(5, p, "characterize")
+
     def test_importing_the_cli_loads_no_pool(self):
         # multiprocessing is imported where a pool starts, not by every CLI call
         env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
@@ -158,11 +175,12 @@ class TestBruteCounts:
         "count",
         [
             lambda: brute_count_toppleable(4, 5, "simulate", jobs=2),
+            lambda: brute_count_toppleable(4, 5, "characterize", jobs=2),
             lambda: brute_T(4, 5, 1, jobs=2),
             lambda: brute_T(4, 1, 6, jobs=2),
             lambda: brute_all_r_toppleable(4, 5, jobs=2),
         ],
-        ids=["toppleable", "rp-site", "rp-chip", "all-r"],
+        ids=["toppleable", "toppleable-window", "rp-site", "rp-chip", "all-r"],
     )
     def test_bad_sizes_raise_before_a_pool_starts(self, monkeypatch, count):
         def no_pool(max_workers):
