@@ -10,14 +10,14 @@ with the simulator is checked in the test suite.
 tests every word of one S(n,p) (the characterizing oracle of
 ``harness.brute_count_toppleable`` and the verify sweep) builds the same
 window once per call or chunk with ``_window(n, p)``: one straight-line
-function, generated with ``exec``, that compares each single chip with its
-bound.
+function, generated by ``core._generated`` under the filename
+``<window S(n,p)>``, that compares each single chip with its bound.
 """
 from __future__ import annotations
 
 from typing import Callable
 
-from .core import Configuration, Perm, inverse, lift
+from .core import Configuration, Perm, _generated, inverse, lift
 
 
 def is_p_toppleable(config: Configuration) -> bool:
@@ -48,22 +48,10 @@ def is_p_toppleable_word(chips: tuple[int, ...], n: int, p: int) -> bool:
 
 
 def _window(n: int, p: int) -> Callable[[tuple[int, ...]], bool]:
-    """
-    ``is_p_toppleable_word`` on the chip words of S(n,p) as one function,
-    chip k of the word in local ck; the source holds only ints.
-    """
-    top = n + 1 - p
-    bottom = 1 - p
-    bounds = [f"c{k} <= {k + 1 + top}" for k in range(p - 1)]
-    bounds += [f"c{k} >= {k + bottom}" for k in range(p + 1, n + 1)]
-    lines = [
-        "def window(chips):",
-        f"    {''.join(f'c{k}, ' for k in range(n + 1))}= chips",
-        f"    return {' and '.join(bounds) or 'True'}",
-    ]
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)
-    return namespace["window"]
+    """``is_p_toppleable_word`` on the chip words of S(n,p) as one generated function."""
+    bounds = [f"c{k} <= {k + 1 + n + 1 - p}" for k in range(p - 1)]  # site k+1, top n+1-p
+    bounds += [f"c{k} >= {k + 1 - p}" for k in range(p + 1, n + 1)]  # site k, bottom 1-p
+    return _generated(f"window S({n},{p})", "window", n + 1, (), " and ".join(bounds) or "True")
 
 
 def is_rp_toppleable(perm: Perm, r: int, p: int) -> bool:

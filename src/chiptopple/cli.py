@@ -57,6 +57,7 @@ class _Cli(click.Group):
         except (ValueError, CapExceeded) as exc:
             raise click.ClickException(str(exc)) from exc
         except MemoryError as exc:
+            polybernoulli._drop_tables()  # the kernel's caches may pin the memory that reporting needs
             raise click.ClickException("out of memory") from exc
 
 

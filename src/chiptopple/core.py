@@ -8,12 +8,14 @@ pair. A configuration stores its chips as one word of n+1 chips in site
 order, the pair ascending at indices p-1 and p. A marked configuration is a
 configuration with one chip r of the pair named as the chip that was added
 on top of a permutation; code passes it as the configuration and r.
+``_generated`` compiles every generated function of a chip word, under a
+filename naming its kind and sizes (``<network S(7,3)>``) that profiles show.
 """
 from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Perm = tuple[int, ...]
 
@@ -289,6 +291,15 @@ def reverse_complement(config: Configuration) -> Configuration:
     # the reversal swaps the pair and complementing swaps it back: it stays ascending
     chips = tuple([top - c for c in reversed(config.chips)])
     return Configuration._trusted(config.n, config.n + 1 - config.p, chips)
+
+
+def _generated(where: str, name: str, width: int, body: Iterable[str], result: str) -> Callable:
+    """``name(chips)``, chip k of the word in local ck: runs ``body``, returns ``result``; named ``<where>``."""
+    unpack = f"{''.join(f'c{k}, ' for k in range(width))}= chips"
+    lines = [f"def {name}(chips):", f"    {unpack}", *(f"    {line}" for line in body), f"    return {result}"]
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<{where}>", "exec"), namespace)
+    return namespace[name]
 
 
 # ---------------------------------------------------------------------------

@@ -28,17 +28,16 @@ comparators over n+1 registers, where register k starts as
 layout each pass leaves, as a run over registers (which only heights
 steer) finds it; that run raises any ``ConfinementError`` and the one-hole
 ``ValueError``. Up to n = 8, the largest n that the harness enumerates,
-the passes are kept with a ``run`` function generated from their
-comparators, as ``dataclasses`` generates ``__init__``. Above that nothing
-is kept: ``resultant`` applies each pass as it comes, in O(n) memory.
-``stabilize_passes`` keeps nothing for any n: it yields each snapshot as
-its pass comes, so a trace holds one pass at a time and raises its errors
-on iteration. A seed's draws depend only on how many sites are
-eligible, so its random schedule is one network per (n,p) too, which
-``_random_schedule`` yields in passes of up to n+1 comparators.
-``stabilize_random`` applies each pass as it comes, as ``resultant`` does
-above n = 8, and ``_seeded`` keeps the network as one generated ``run``
-for ``schedule_independence`` and verify's sweep.
+``_program`` keeps the network as one cached ``run``, generated by
+``core._generated`` as ``<network S(n,p)>``; above it (``_runner`` decides)
+each pass is applied as it comes, in O(n) memory. ``stabilize_passes`` keeps
+nothing for any n: it yields each snapshot as its pass comes, so a trace
+holds one pass at a time and raises its errors on iteration. A seed's draws
+depend only on how many sites are eligible, so its random schedule is one
+network per (n,p) too, which ``_random_schedule`` yields in passes of up to
+n+1 comparators and ``stabilize_random`` applies as they come; ``_seeded``
+generates it as one ``run``, ``<seeded S(n,p) seed s>``, for
+``schedule_independence`` and the sweep.
 
 The random schedule draws only at real choice points: when two or more
 sites are eligible. A draw from range(m) is the remainder of a pool
@@ -52,10 +51,10 @@ replays its schedule through ``topple --random --seed``.
 from __future__ import annotations
 
 import dataclasses
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .core import Configuration, Perm
+from .core import Configuration, Perm, _generated
 
 
 class ConfinementError(RuntimeError):
@@ -126,15 +125,7 @@ class _Pass(NamedTuple):
     right_arm: tuple[int, ...]
 
 
-class _Program(NamedTuple):
-    """The kept pass schedule of S(n,p) as a comparator network."""
-
-    passes: tuple[_Pass, ...]
-    run: Callable[[tuple[int, ...]], tuple[Perm, int]]  # chip word -> resultant pair
-
-
 _MEMO_N = 8  # harness enumerations topple up to n = 8: PERM_CAP-size permutations, lifted
-_PROGRAMS: dict[tuple[int, int], _Program] = {}
 
 
 def _schedule(n: int, p: int) -> Iterator[_Pass]:
@@ -187,26 +178,20 @@ def _schedule(n: int, p: int) -> Iterator[_Pass]:
         )
 
 
-def _program(n: int, p: int) -> _Program:
-    """The kept program of S(n,p), n <= _MEMO_N: its passes and their generated ``run``."""
-    program = _PROGRAMS.get((n, p))
-    if program is None:
-        passes = tuple(_schedule(n, p))
-        program = _PROGRAMS[n, p] = _Program(passes, _generate(passes))
-    return program
+@cache  # reached only for n <= _MEMO_N: at most 36 networks
+def _program(n: int, p: int) -> Callable[[tuple[int, ...]], tuple[Perm, int]]:
+    """``run`` of the pass network of S(n,p), n <= _MEMO_N, kept."""
+    return _generate(tuple(_schedule(n, p)), f"network S({n},{p})")
 
 
-def _generate(passes: tuple[_Pass, ...]) -> Callable:
-    """``run`` of a kept program, register k in local wk; the source holds only ints."""
+def _generate(passes: tuple[_Pass, ...], where: str) -> Callable[[tuple[int, ...]], tuple[Perm, int]]:
+    """``run`` of a network, chip word -> resultant pair; register k is chip k-1 of the word."""
     last = passes[-1]
     order = last.left_arm + last.right_arm
-    lines = ["def run(chips):", f"    {''.join(f'w{k}, ' for k in range(1, len(order) + 1))}= chips"]
-    for step in passes:
-        lines += [f"    if w{i} > w{j}: w{i}, w{j} = w{j}, w{i}" for i, j in step.comparators]
-    lines.append(f"    return ({''.join(f'w{r}, ' for r in order)}), {len(last.left_arm)}")
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)
-    return namespace["run"]
+    c = [f"c{k - 1}" for k in range(len(order) + 1)]  # c[k] names register k; c[0] is never read
+    body = [f"if {c[i]} > {c[j]}: {c[i]}, {c[j]} = {c[j]}, {c[i]}" for step in passes for i, j in step.comparators]
+    result = f"({''.join(f'{c[r]}, ' for r in order)}), {len(last.left_arm)}"
+    return _generated(where, "run", len(order), body, result)
 
 
 def _random_schedule(n: int, p: int, seed: int) -> Iterator[_Pass]:
@@ -252,7 +237,7 @@ def _random_schedule(n: int, p: int, seed: int) -> Iterator[_Pass]:
 
 def _seeded(n: int, p: int, seed: int) -> Callable[[tuple[int, ...]], tuple[Perm, int]]:
     """``run`` of seed's random schedule on S(n,p), the network ``_random_schedule`` yields."""
-    return _generate(tuple(_random_schedule(n, p, seed)))
+    return _generate(tuple(_random_schedule(n, p, seed)), f"seeded S({n},{p}) seed {seed}")
 
 
 def _run(w: list[int], comparators: tuple[tuple[int, int], ...]) -> None:
@@ -278,6 +263,11 @@ def _applied(passes: Iterable[_Pass], chips: tuple[int, ...]) -> tuple[tuple[Per
 def _streamed(n: int, p: int, chips: tuple[int, ...]) -> tuple[Perm, int]:
     """The resultant pair of a chip word of S(n,p), n > _MEMO_N: each pass applied as it is found."""
     return _applied(_schedule(n, p), chips)[0]
+
+
+def _runner(n: int, p: int) -> Callable[[tuple[int, ...]], tuple[Perm, int]]:
+    """Chip word -> resultant pair on S(n,p): the kept ``run`` up to _MEMO_N, the streamed passes above it."""
+    return _program(n, p) if n <= _MEMO_N else partial(_streamed, n, p)
 
 
 def stabilize_random(config: Configuration, seed: int) -> tuple[tuple[Perm, int], int]:
@@ -314,13 +304,11 @@ def resultant(config: Configuration) -> tuple[Perm, int]:
     The permutation of 1..n+1 left by stabilization, read left to right
     skipping the empty site, plus the empty site's index.
     """
-    if config.n > _MEMO_N:
-        return _streamed(config.n, config.p, config.chips)
-    return _program(config.n, config.p).run(config.chips)
+    return _runner(config.n, config.p)(config.chips)
 
 
 def resultants(n: int, p: int, words: Iterable[tuple[int, ...]]) -> Iterator[tuple[Perm, int]]:
     """The ``resultant`` pair of each chip word of S(n,p) in ``words``, in order."""
     if not 1 <= p <= n:
         raise ValueError(f"p outside 1..{n}")
-    return map(partial(_streamed, n, p) if n > _MEMO_N else _program(n, p).run, words)
+    return map(_runner(n, p), words)

@@ -146,7 +146,7 @@ def _pass_facts(n: int, p: int) -> dict[str, int]:
     (each pass's arm registers are a prefix and a suffix of the final read
     order, hole included, that no later pass touches) and the empty site.
     """
-    passes = engine._program(n, p).passes
+    passes = tuple(engine._schedule(n, p))
     order = passes[-1].left_arm + (0,) + passes[-1].right_arm  # register 0: the hole
     touched: set[int] = set()
     frozen = True
@@ -187,7 +187,7 @@ def _sweep_chunk(args: tuple[int, int, int, int, int]) -> Counter:
     tally: Counter = Counter()
     words, fed = tee(_chip_words(n, p, lo, hi))
     in_window = characterize._window(n, p)
-    mirror_run = engine._program(n, n + 1 - p).run if n <= ENGINE_N else None
+    mirror_run = engine._runner(n, n + 1 - p) if n <= ENGINE_N else None
     seeded = [engine._seeded(n, p, seed) for seed in range(seeds)] if n <= READING_N else []
     for chips, (perm, empty_site) in zip(words, resultants(n, p, fed)):
         window = in_window(chips)

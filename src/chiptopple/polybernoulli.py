@@ -56,8 +56,12 @@ def _extend(
     for t, entry in zip(range(start, depth), rows(start)):
         while first > short + 1 and len(columns[first - 1]) == t:
             first -= 1
-        for c in range(first, last + 1):
-            columns[c].append(entry(c))
+        try:
+            for c in range(first, last + 1):
+                columns[c].append(entry(c))
+        except MemoryError:
+            columns.clear()  # given back here, before the unwinding (a generator's close, say) must allocate
+            raise
 
 
 def _stirling_entry(t: int, m: int) -> int:
@@ -176,6 +180,13 @@ def _c_recurrence_entry(n: int, binomials: list[int], k: int) -> int:
 def _c_recurrence(n: int, k: int) -> int:
     _extend(_C_RECURRENCE, k, n + 1, partial(_binomial_rows, _c_recurrence_entry))
     return _C_RECURRENCE[k][n]
+
+
+def _drop_tables() -> None:
+    """Empty the kept tables and the accessors' caches, giving back the memory they hold."""
+    for table, accessor in zip((_STIRLING, _B_RECURRENCE, _C_RECURRENCE), (stirling2, b_number, c_number)):
+        table.clear()
+        accessor.cache_clear()
 
 
 _B_METHODS: dict[str, Callable[[int, int], int]] = {

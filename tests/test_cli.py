@@ -325,12 +325,35 @@ class TestCount:
             raise MemoryError
 
         monkeypatch.setattr(polybernoulli, "poly_bernoulli_B", exhausted)
+        polybernoulli.stirling2(10, 3)
         result = run(runner, "polybernoulli", "B", "--n", "3000", "--k", "3000")
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.stdout == ""
         assert result.stderr == "Error: out of memory\n"
         assert "Traceback" not in result.output
+        # the boundary gave back what the kernel tables held
+        assert polybernoulli._STIRLING == []
+        assert polybernoulli.stirling2.cache_info().currsize == 0
+        assert polybernoulli.stirling2(10, 3) == 9330
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+    def test_a_kernel_table_that_outgrows_memory_is_a_one_line_error(self):
+        # a real exhaustion: the Stirling triangle of this count outgrows a child capped at 1 GB,
+        # and the boundary reports it after the kernel tables give their memory back
+        child = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from chiptopple.cli import main\n"
+            "main()\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(engine.__file__).parents[1])}
+        args = ["count", "toppleable", "--n", "100000", "--p", "50000", "--method", "formula"]
+        done = subprocess.run([sys.executable, "-c", child, *args], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == "Error: out of memory\n"
+        assert "Traceback" not in done.stderr
 
 # One argv template per command shape. Each placeholder takes a fresh draw:
 # {int} an integer around every size boundary; {lit} a valid permutation or

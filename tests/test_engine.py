@@ -1,6 +1,8 @@
+import cProfile
 import functools
 import hashlib
 import json
+import pstats
 import random
 import tracemalloc
 from collections import Counter
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiptopple.core import make_configuration, parse_configuration, reverse_complement, reverse_complement_perm
-from chiptopple import engine, harness
+from chiptopple import characterize, engine, harness
 from chiptopple.engine import resultant, stabilize_passes, stabilize_random
 from conftest import oracle_configurations, oracle_stabilize_random, small_configurations
 
@@ -144,17 +146,18 @@ class TestCompiledSchedule:
 
     def test_programs_are_kept_up_to_n_8(self):
         rng = random.Random(9)
+        engine._program.cache_clear()
         for n in range(9, 13):
             for p in range(1, n + 1):
                 config = _shuffled_configuration(n, p, rng)
                 resultant(config)
                 list(stabilize_passes(config))
                 list(engine.resultants(n, p, [config.chips]))
-        assert all(n <= 8 for n, _ in engine._PROGRAMS)
+        assert engine._program.cache_info().currsize == 0
         for n in range(1, 9):
             for p in range(1, n + 1):
                 resultant(_shuffled_configuration(n, p, rng))
-        assert len(engine._PROGRAMS) == 36
+        assert engine._program.cache_info().currsize == 36
 
     @pytest.mark.parametrize("p", [1, 7, 20, 33, 40, 100, 200])
     def test_unkept_program_agrees_with_the_random_schedule(self, p):
@@ -162,6 +165,7 @@ class TestCompiledSchedule:
             if p > n:
                 continue
             config = _shuffled_configuration(n, p, random.Random(p))
+            kept = engine._program.cache_info()
             final = resultant(config)
             assert _traced(config)[0] == final
             assert list(engine.resultants(n, p, [config.chips])) == [final]
@@ -169,7 +173,7 @@ class TestCompiledSchedule:
                 labelled = oracle_stabilize_random(config, seed)
                 assert labelled[0] == final
                 assert stabilize_random(config, seed) == labelled
-            assert (n, p) not in engine._PROGRAMS
+            assert engine._program.cache_info() == kept
 
     def test_resultant_memory_is_linear_above_n_8(self):
         """One ``resultant`` call holds O(n) memory, not the p(n+1-p) comparators of its network."""
@@ -215,12 +219,11 @@ class TestCompiledSchedule:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_generated_run_matches_the_interpreter_and_the_random_schedule(self, n):
         for p in range(1, n + 1):
-            program = engine._program(n, p)
             configs = list(harness.enumerate_configurations(n, p))
             generated = list(engine.resultants(n, p, harness._chip_words(n, p)))
             assert len(generated) == len(configs)
             for config, final in zip(configs, generated):
-                assert final == _interpreted(program, config.chips)
+                assert final == _interpreted(n, p, config.chips)
                 assert final == oracle_stabilize_random(config, n)[0]
                 assert final == resultant(config)
 
@@ -235,22 +238,24 @@ class TestCompiledSchedule:
     def test_generated_run_on_a_sample_at_n_8(self):
         rng = random.Random(8)
         for p in range(1, 9):
-            program = engine._program(8, p)
+            run = engine._program(8, p)
             for _ in range(300):
                 config = _shuffled_configuration(8, p, rng)
-                final = program.run(config.chips)
-                assert final == _interpreted(program, config.chips)
+                final = run(config.chips)
+                assert final == _interpreted(8, p, config.chips)
                 assert final == engine._streamed(8, p, config.chips)
                 assert final == oracle_stabilize_random(config, p)[0]
 
     @pytest.mark.parametrize("p", [1, 5, 8])
     def test_only_kept_programs_are_generated(self, p):
         config = _shuffled_configuration(9, p, random.Random(p))
+        kept = engine._program.cache_info()
         resultant(config)
         list(stabilize_passes(config))
         list(engine.resultants(9, p, [config.chips]))
-        assert (9, p) not in engine._PROGRAMS
-        assert not isinstance(engine._program(8, p).run, functools.partial)
+        assert engine._program.cache_info() == kept
+        assert isinstance(engine._runner(9, p), functools.partial)
+        assert engine._runner(8, p) is engine._program(8, p)
 
     @pytest.mark.parametrize("n,p", [(7, 4), (8, 1), (40, 17)])
     def test_trace_is_lazy_and_keeps_no_program(self, monkeypatch, n, p):
@@ -263,7 +268,7 @@ class TestCompiledSchedule:
                 yield step
 
         monkeypatch.setattr(engine, "_schedule", counted)
-        monkeypatch.setattr(engine, "_PROGRAMS", {})
+        kept = engine._program.cache_info()
         snapshots = stabilize_passes(_shuffled_configuration(n, p, random.Random(n)))
         assert yielded == []
         first = next(snapshots)
@@ -271,7 +276,7 @@ class TestCompiledSchedule:
         assert first.topples == n
         rest = list(snapshots)
         assert len(yielded) == 1 + len(rest) == min(p, n - p + 1)
-        assert engine._PROGRAMS == {}
+        assert engine._program.cache_info() == kept
 
     def test_trace_raises_on_iteration(self, monkeypatch):
         def two_holes(low):
@@ -288,13 +293,22 @@ class TestCompiledSchedule:
         with pytest.raises(ValueError):
             engine.resultants(3, 4, [])
 
+    def test_generated_functions_name_their_kind_and_sizes(self):
+        assert engine._program(7, 3).__code__.co_filename == "<network S(7,3)>"
+        assert engine._seeded(7, 3, 2).__code__.co_filename == "<seeded S(7,3) seed 2>"
+        assert characterize._window(7, 3).__code__.co_filename == "<window S(7,3)>"
 
-def _interpreted(program, chips):
-    """The resultant pair of ``_run`` over the program's passes, read through the arms of the last."""
+    def test_a_profile_names_the_network(self):
+        profile = cProfile.Profile()
+        profile.runcall(harness.brute_count_toppleable, 4, 2, "simulate")
+        assert ("<network S(4,2)>", 1, "run") in pstats.Stats(profile).stats
+
+
+def _interpreted(n, p, chips):
+    """The resultant pair of ``_run`` over the passes of S(n,p), read through the arms of the last."""
     w = [0, *chips]
-    for step in program.passes:
-        engine._run(w, step.comparators)
-    last = program.passes[-1]
+    for last in engine._schedule(n, p):
+        engine._run(w, last.comparators)
     return tuple([w[r] for r in last.left_arm + last.right_arm]), len(last.left_arm)
 
 

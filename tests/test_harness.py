@@ -308,15 +308,18 @@ def _engine_claims(n, p, tally):
     return [(item.claim, item.status) for item in report.items]
 
 
-def _break(monkeypatch, edit):
+def _break(request, monkeypatch, edit):
     """
     Rewrite the passes of every network by ``edit`` where they come from,
     ``_schedule``, so the kept programs (emptied, then rebuilt) and the
-    streamed traces both run the broken network.
+    streamed traces both run the broken network. monkeypatch cannot restore
+    a cache, so the kept programs are emptied again at teardown: no broken
+    network reaches a later test.
     """
     schedule = engine._schedule
     monkeypatch.setattr(engine, "_schedule", lambda n, p: edit(tuple(schedule(n, p))))
-    monkeypatch.setattr(engine, "_PROGRAMS", {})
+    engine._program.cache_clear()
+    request.addfinalizer(engine._program.cache_clear)
 
 
 def _drop_last_first_pass_comparator(passes):
@@ -338,21 +341,21 @@ ARMS_CLAIM = "arms are frozen prefixes/suffixes of the final state"
 class TestBrokenNetwork:
     """The word-level loops read the network: a dropped comparator must show."""
 
-    def test_simulating_oracle_and_table_change(self, monkeypatch):
-        _break(monkeypatch, _drop_last_first_pass_comparator)
+    def test_simulating_oracle_and_table_change(self, request, monkeypatch):
+        _break(request, monkeypatch, _drop_last_first_pass_comparator)
         assert brute_count_toppleable(2, 1, "simulate") == 1  # 2 with the whole network
         assert resultant_table(3, 1).counts == ((1,), (1,))  # ((1,), (2,))
         assert brute_count_toppleable(4, 2, "simulate") == 9  # 23
         with pytest.raises(AssertionError):
             resultant_table(5, 2)  # a class with unequal fibers
 
-    def test_characterizing_oracle_does_not_change(self, monkeypatch):
-        _break(monkeypatch, _drop_last_first_pass_comparator)
+    def test_characterizing_oracle_does_not_change(self, request, monkeypatch):
+        _break(request, monkeypatch, _drop_last_first_pass_comparator)
         assert brute_count_toppleable(4, 2, "characterize") == 23
 
     @pytest.mark.parametrize("n,p", [(3, 2), (4, 2), (5, 3)])
-    def test_dropped_comparator_keeps_the_traced_tallies(self, monkeypatch, n, p):
-        _break(monkeypatch, _drop_last_first_pass_comparator)
+    def test_dropped_comparator_keeps_the_traced_tallies(self, request, monkeypatch, n, p):
+        _break(request, monkeypatch, _drop_last_first_pass_comparator)
         tally = harness._sweep_chunk((n, p, 1, 0, configuration_count(n)))
         reference = _traced_facts(n, p)
         assert _network_facts(n, p, tally) == reference
@@ -362,22 +365,22 @@ class TestBrokenNetwork:
         assert claims["random schedules agree with passes"] == MISMATCH
 
     @pytest.mark.parametrize("n,p", [(3, 2), (4, 2), (5, 3)])
-    def test_a_comparator_on_a_frozen_arm_shows(self, monkeypatch, n, p):
-        _break(monkeypatch, _append_arm_comparator)
+    def test_a_comparator_on_a_frozen_arm_shows(self, request, monkeypatch, n, p):
+        _break(request, monkeypatch, _append_arm_comparator)
         tally = harness._sweep_chunk((n, p, 1, 0, configuration_count(n)))
         # the network flags all of S(n,p); the traced values only the configurations it swaps
         assert harness._pass_facts(n, p)["arms frozen"] is False
         assert 0 < _traced_facts(n, p)["arms frozen", False] < configuration_count(n)
         assert (ARMS_CLAIM, MISMATCH) in _engine_claims(n, p, tally)
 
-    def test_an_arm_across_the_final_hole_shows(self, monkeypatch):
+    def test_an_arm_across_the_final_hole_shows(self, request, monkeypatch):
         # S(1,1) split in two passes, the first claiming both registers as its
         # left arm; no later comparator touches them, but the hole lies between
         def across(passes):
             [only] = passes
             return only._replace(left_arm=(1, 2), right_arm=()), only._replace(comparators=())
 
-        _break(monkeypatch, across)
+        _break(request, monkeypatch, across)
         assert harness._pass_facts(1, 1)["arms frozen"] is False
         assert harness._observed(_traced_facts(1, 1), "arms frozen") == {False: 1}
         tally = harness._sweep_chunk((1, 1, 1, 0, 1))
