@@ -7,18 +7,21 @@ default cached accessors use the closed formula. The B array is OEIS
 A099594.
 
 The two sums are evaluated by Horner's rule on their factorial weights,
-from the top index down, so no term builds m! or (m!)^2. Each recurrence
-entry is one dot product of a binomial row with the previous column, and
-the columns are filled row by row so that one binomial row serves every
-column that needs that row.
+from the top index down, so no term builds m! or (m!)^2. All of them read
+one kept Stirling triangle, and each sum asks the Stirling fill once for
+the trapezoid of rows and columns it needs, which grows each column from
+the one before it; a narrow request such as B(3000,3) keeps a narrow
+table. The recurrence fill grows a table's columns row by row: each entry
+is one dot product of a binomial row with the previous column, and one
+binomial row serves every column that needs that row.
 """
 from __future__ import annotations
 
-from functools import cache, partial
-from itertools import count, repeat
+from functools import cache
+from itertools import repeat
 from math import comb
 from operator import add, mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .core import Perm, marked_split, split_at
 from .families import validate_r_placement
@@ -26,75 +29,79 @@ from .families import validate_r_placement
 METHODS = ("closed", "inclusion_exclusion", "recurrence")
 
 # Tables kept as columns and filled without recursion. Entry t of column c
-# depends only on the entries before it in column c and on entries 0..t of
-# column c-1, so a column is never longer than the one before it.
+# depends only on the entries before it in column c and on entries up to t
+# of column c-1, so a column is never longer than the one before it.
 _STIRLING: list[list[int]] = []  # _STIRLING[m][t] = S(m+t, m), from the diagonal down
 _B_RECURRENCE: list[list[int]] = []  # _B_RECURRENCE[k][n] = B(n, k)
 _C_RECURRENCE: list[list[int]] = []  # _C_RECURRENCE[k][n] = C(n, k)
 
 
-def _extend(
-    columns: list[list[int]], last: int, depth: int, rows: Callable[[int], Iterator[Callable[[int], int]]]
-) -> None:
+def _stirling_fill(bottom: int, last: int) -> None:
     """
-    Grow columns 0..last to ``depth`` entries each, row-major: rows(t0)
-    yields, for t = t0, t0+1, ..., the function that maps c to entry t of
-    column c, and that function is called for the short columns in
-    ascending c, so entry t of column c-1 is in place before column c
-    needs it. What a row shares between its entries (a binomial row for
-    the recurrences) is built once per row and dropped after it. Only the
-    columns that are too short are touched.
+    Grow columns 0..last of ``_STIRLING`` down to row ``bottom`` (last <=
+    bottom), column c from column c-1 by S(c+t,c) = c S(c+t-1,c) +
+    S(c+t-1,c-1). A column already that deep is left as it is.
     """
-    short = last
-    while short >= 0 and (short >= len(columns) or len(columns[short]) < depth):
-        short -= 1
-    while len(columns) <= last:
+    # Every fill leaves column c at least one entry longer than column c+1,
+    # so the columns that do not reach row ``bottom`` are a suffix of 0..last.
+    first = last + 1
+    while first and (first > len(_STIRLING) or len(_STIRLING[first - 1]) < bottom - first + 2):
+        first -= 1
+    try:
+        for c in range(first, last + 1):
+            if c == len(_STIRLING):
+                _STIRLING.append([1])  # S(c, c)
+            column = _STIRLING[c]
+            value, depth = column[-1], bottom - c + 1
+            lefts = _STIRLING[c - 1][len(column) : depth] if c else repeat(0, depth - len(column))
+            for left in lefts:
+                value = c * value + left
+                column.append(value)
+    except MemoryError:
+        _STIRLING.clear()  # given back here, before the unwinding must allocate
+        raise
+
+
+def _recurrence_fill(columns: list[list[int]], k: int, n: int, carry: bool) -> None:
+    """
+    Grow columns 0..k of a recurrence table to rows 0..n, row by row. Column
+    0 is all ones; entry t of a later column is the dot product of the
+    binomial row t with entries 1..t of the column before, plus that
+    column's entry t when ``carry`` is set (type B). One binomial row,
+    built from the one before by Pascal's rule, serves every short column
+    of its row; the short columns of a row are a suffix of 0..k and take
+    it in ascending order, so each finds its left neighbour's entry t.
+    """
+    while len(columns) <= k:
         columns.append([])
-    # the columns first..last are the ones t entries long: a suffix, since
-    # no column is longer than the one before it
-    start, first = len(columns[last]), last
-    for t, entry in zip(range(start, depth), rows(start)):
-        while first > short + 1 and len(columns[first - 1]) == t:
-            first -= 1
-        try:
-            for c in range(first, last + 1):
-                columns[c].append(entry(c))
-        except MemoryError:
-            columns.clear()  # given back here, before the unwinding (a generator's close, say) must allocate
-            raise
-
-
-def _stirling_entry(t: int, m: int) -> int:
-    if t == 0:
-        return 1
-    left = _STIRLING[m - 1][t] if m else 0
-    return m * _STIRLING[m][t - 1] + left
-
-
-def _stirling_rows(start: int) -> Iterator[Callable[[int], int]]:
-    for t in count(start):
-        yield partial(_stirling_entry, t)
-
-
-def _binomial_rows(entry: Callable[[int, list[int], int], int], start: int) -> Iterator[Callable[[int], int]]:
-    """
-    Rows for ``_extend`` whose entries read a binomial row: row n maps c to
-    entry(n, [binom(n, 0), ..., binom(n, n)], c). Each binomial row after
-    the first comes from the one before by Pascal's rule.
-    """
+    start, first = len(columns[k]), k
     row = list(map(comb, repeat(start), range(start + 1)))
-    for n in count(start):
-        yield partial(entry, n, row)
-        row = [1, *map(add, row, row[1:]), 1]
+    try:
+        for t in range(start, n + 1):
+            while first and len(columns[first - 1]) == t:
+                first -= 1
+            for c in range(first, k + 1):
+                if c:
+                    previous = columns[c - 1]
+                    # binom(t, j-1) times entry j for j = 1..t: the sum over
+                    # m >= 1 of binom(t, m) times entry t-m+1, read backwards
+                    total = sum(map(mul, row, previous[1 : t + 1]))
+                    columns[c].append(previous[t] + total if carry else total)
+                else:
+                    columns[0].append(1)
+            if t < n:
+                row = [1, *map(add, row, row[1:]), 1]
+    except MemoryError:
+        columns.clear()  # given back here, before the unwinding must allocate
+        raise
 
 
 @cache
 def stirling2(n: int, m: int) -> int:
     """
     Stirling number of the second kind: set partitions of n elements into
-    m non-empty parts. S(0,0) = 1 and S(n,m) = 0 for m > n. Computed column
-    by column from S(n,m) = m S(n-1,m) + S(n-1,m-1), for the columns up to
-    m only.
+    m non-empty parts. S(0,0) = 1 and S(n,m) = 0 for m > n. Read off the
+    kept triangle, filled for the columns up to m only.
 
     >>> [stirling2(4, m) for m in range(5)]
     [0, 1, 7, 6, 1]
@@ -103,7 +110,7 @@ def stirling2(n: int, m: int) -> int:
         raise ValueError("negative index")
     if m > n:
         return 0
-    _extend(_STIRLING, m, n - m + 1, _stirling_rows)
+    _stirling_fill(n, m)
     return _STIRLING[m][n - m]
 
 
@@ -113,9 +120,12 @@ def b_number(n: int, k: int) -> int:
     Cached B(n,k) via the closed formula, by Horner's rule on (m!)^2: from
     m = min(n,k) down, total = total (m+1)^2 + S(n+1,m+1) S(k+1,m+1).
     """
+    low = min(n, k)
+    _stirling_fill(max(n, k) + 1, low + 1)
     total = 0
-    for m in range(min(n, k), -1, -1):
-        total = total * (m + 1) ** 2 + stirling2(n + 1, m + 1) * stirling2(k + 1, m + 1)
+    for m in range(low, -1, -1):
+        column = _STIRLING[m + 1]  # S(n+1,m+1) and S(k+1,m+1) are in one column
+        total = total * (m + 1) ** 2 + column[n - m] * column[k - m]
     return total
 
 
@@ -124,23 +134,15 @@ def _b_inclusion_exclusion(n: int, k: int) -> int:
     Horner's rule on m!, with the sign (-1)^(n-m) folded in: from m = n
     down, total = S(n,m) (m+1)^k - (m+1) total gives the sum times (-1)^n.
     """
+    _stirling_fill(n, n)
     total = 0
     for m in range(n, -1, -1):
-        total = stirling2(n, m) * (m + 1) ** k - (m + 1) * total
+        total = _STIRLING[m][n - m] * (m + 1) ** k - (m + 1) * total
     return -total if n % 2 else total
 
 
-def _b_recurrence_entry(n: int, binomials: list[int], k: int) -> int:
-    if k == 0 or n == 0:
-        return 1
-    # sum over m of binom(n,m) B(n-m+1,k-1), read as binom(n,j-1) B(j,k-1)
-    # for j = n-m+1 since binom(n,m) = binom(n,n-m)
-    previous = _B_RECURRENCE[k - 1]
-    return previous[n] + sum(map(mul, binomials, previous[1 : n + 1]))
-
-
 def _b_recurrence(n: int, k: int) -> int:
-    _extend(_B_RECURRENCE, k, n + 1, partial(_binomial_rows, _b_recurrence_entry))
+    _recurrence_fill(_B_RECURRENCE, k, n, carry=True)
     return _B_RECURRENCE[k][n]
 
 
@@ -150,9 +152,11 @@ def c_number(n: int, k: int) -> int:
     Cached C(n,k) via the closed formula, by Horner's rule on (m!)^2: from
     m = min(n,k) down, total = total (m+1)^2 + S(n+1,m+1) S(k,m).
     """
+    low = min(n, k)
+    _stirling_fill(max(n + 1, k), low + 1)
     total = 0
-    for m in range(min(n, k), -1, -1):
-        total = total * (m + 1) ** 2 + stirling2(n + 1, m + 1) * stirling2(k, m)
+    for m in range(low, -1, -1):
+        total = total * (m + 1) ** 2 + _STIRLING[m + 1][n - m] * _STIRLING[m][k - m]
     return total
 
 
@@ -163,22 +167,15 @@ def _c_inclusion_exclusion(n: int, k: int) -> int:
     """
     # The sum runs over the second index: the same sum over the first one
     # produces the transposed array (it disagrees with C(2,1) = 3 already).
+    _stirling_fill(k + 1, k + 1)
     total = 0
     for m in range(k, -1, -1):
-        total = (m + 1) ** n * stirling2(k + 1, m + 1) - (m + 1) * total
+        total = (m + 1) ** n * _STIRLING[m + 1][k - m] - (m + 1) * total
     return -total if k % 2 else total
 
 
-def _c_recurrence_entry(n: int, binomials: list[int], k: int) -> int:
-    if k == 0:
-        return 1
-    if n == 0:
-        return 0
-    return sum(map(mul, binomials, _C_RECURRENCE[k - 1][1 : n + 1]))
-
-
 def _c_recurrence(n: int, k: int) -> int:
-    _extend(_C_RECURRENCE, k, n + 1, partial(_binomial_rows, _c_recurrence_entry))
+    _recurrence_fill(_C_RECURRENCE, k, n, carry=False)
     return _C_RECURRENCE[k][n]
 
 

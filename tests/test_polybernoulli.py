@@ -1,5 +1,6 @@
+import random
 import tracemalloc
-from itertools import permutations
+from itertools import pairwise, permutations
 from math import comb
 
 import pytest
@@ -166,6 +167,51 @@ class TestTables:
             tracemalloc.stop()
         assert value == 2 * 3**600 - 2**600
         assert peak < 2_000_000
+
+    def test_narrow_request_keeps_a_narrow_triangle(self):
+        # B(3000,3) needs the columns S(.,0..4) only; the full triangle to
+        # row 3001 would hold about 4.5 million big integers
+        polybernoulli._drop_tables()
+        value = poly_bernoulli_B(3000, 3)
+        assert len(polybernoulli._STIRLING) == 5
+        # inclusion-exclusion over the side of size 3
+        assert value == 2**3000 - 6 * 3**3000 + 6 * 4**3000
+
+    def test_each_sum_fills_the_triangle_once_and_not_through_stirling2(self, monkeypatch):
+        polybernoulli._drop_tables()
+        fill = polybernoulli._stirling_fill
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            fill(*args)
+
+        monkeypatch.setattr(polybernoulli, "_stirling_fill", counted)
+        points = [(0, 0), (7, 3), (3, 60), (60, 41), (25, 25)]
+        for n, k in points:
+            for evaluate in (poly_bernoulli_B, poly_bernoulli_C):
+                assert evaluate(n, k, "closed") == evaluate(n, k, "inclusion_exclusion"), (evaluate, n, k)
+        assert len(calls) == 4 * len(points)
+        assert stirling2.cache_info().misses == 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fill_order_does_not_matter(self, seed, textbook_poly_bernoulli):
+        # wide and narrow requests interleaved, so columns grow out of order
+        polybernoulli._drop_tables()
+        points = [(40, 2), (3, 40), (25, 25), (0, 40), (40, 0), (17, 33), (33, 17), (40, 40), (2, 3)]
+        requests = [
+            (kind, method, n, k)
+            for kind in "BC" for method in METHODS for n, k in points
+        ]
+        random.Random(seed).shuffle(requests)
+        evaluate = {"B": poly_bernoulli_B, "C": poly_bernoulli_C}
+        tables = dict(zip("BC", textbook_poly_bernoulli))
+        for kind, method, n, k in requests:
+            assert evaluate[kind](n, k, method) == tables[kind][n][k], (kind, method, n, k)
+        # each Stirling column reaches at least as deep a row as the next one
+        assert all(len(left) > len(right) for left, right in pairwise(polybernoulli._STIRLING))
+        for table in (polybernoulli._B_RECURRENCE, polybernoulli._C_RECURRENCE):
+            assert all(len(left) >= len(right) for left, right in pairwise(table))
 
     def test_errors(self):
         with pytest.raises(ValueError):
